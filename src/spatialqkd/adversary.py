@@ -102,11 +102,14 @@ def evidence_scores(positions: np.ndarray,
     probability.  Positions are taken in the decoded (logical) plane.
     """
     pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    centers = model.alphabet.centers
-    d2 = (np.sum(pts ** 2, axis=1)[:, None]
-          - 2.0 * pts @ centers.T
-          + np.sum(centers ** 2, axis=1)[None, :])
-    dmin2 = np.clip(d2.min(axis=1), 0.0, None)
+    idx, _ = model.alphabet.nearest_cell(pts)
+    return _scores(pts, idx, model)
+
+
+def _scores(pts: np.ndarray, nearest: np.ndarray,
+            model: "GaussianModel") -> tuple[np.ndarray, np.ndarray]:
+    """Evidence scores of positions whose nearest cells are already decoded."""
+    dmin2 = np.sum((pts - model.alphabet.centers[nearest]) ** 2, axis=1)
     area = model.alphabet.cell_area
     sig_ap = model.aperture_waist / 2.0
     sig_env = model.envelope_waist / 2.0
@@ -149,7 +152,7 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
     measured_idx, _ = model.alphabet.nearest_cell(logical)
     dropped = np.zeros(m, dtype=bool)
     if spec.strategy == "suppress_on_evidence" and spec.evidence_threshold > 0:
-        same, crossed = evidence_scores(logical, model)
+        same, crossed = _scores(logical, measured_idx, model)
         eps = spec.evidence_threshold
         dropped = attacked & (same < eps) & (crossed >= eps)
     return AttackArrays(attacked=attacked, basis_code=basis_code,

@@ -14,6 +14,7 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .optics import ALL_CONFIGS, Basis, BasisConfig, IntensityMap, hexagon_mask
 
@@ -35,6 +36,19 @@ __all__ = [
 ]
 
 _LABEL_CHARS = string.digits + string.ascii_uppercase + string.ascii_lowercase
+
+#: Distances to two centers that agree within this fraction of the lattice
+#: spacing are a tie, resolved to the lowest index (the tolerance of
+#: ``hexagon_mask``).
+_TIE_RTOL = 1e-12
+#: Points nearer than this fraction of the spacing to an edge of their
+#: lattice cell are left to the tree, which applies the tie rule exactly.
+_EDGE_RTOL = 1e-9
+#: Centers within this fraction of the spacing of a lattice site count as on
+#: the lattice.  Far below ``_EDGE_RTOL``, so a point clear of its cell's
+#: edges by that margin is nearest to the cell's center.
+_LATTICE_RTOL = 1e-11
+_HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
 
 def _spiral_labels(count: int) -> tuple[str, ...]:
@@ -58,6 +72,24 @@ def _ring_offsets(ring: int, spacing: float) -> list[np.ndarray]:
             sites.append(pos.copy())
             pos = pos + step
     return sites
+
+
+def _cube_round(x: np.ndarray, y: np.ndarray,
+                spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axial coordinates ``(q, r)`` of the nearest lattice site, as floats.
+
+    The lattice has basis ``u = (s, 0)`` and ``v = (s / 2, s * sqrt(3) / 2)``
+    with ``s`` the spacing.  Each cube coordinate ``(q, r, -q - r)`` is
+    rounded, and the one that moved most is recomputed from the other two.
+    """
+    r = y / (_HALF_SQRT3 * spacing)
+    q = x / spacing - 0.5 * r
+    t = -q - r
+    rq, rr, rt = np.rint(q), np.rint(r), np.rint(t)
+    dq, dr, dt = np.abs(rq - q), np.abs(rr - r), np.abs(rt - t)
+    fix_q = (dq > dr) & (dq > dt)
+    fix_r = ~fix_q & (dr > dt)
+    return (np.where(fix_q, -rr - rt, rq), np.where(fix_r, -rq - rt, rr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +126,32 @@ class HexAlphabet:
                 f"{len(self.labels)} labels for {c.shape[0]} centers")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("alphabet labels must be unique")
-        if c.shape[0] > 1:
-            diff = c[:, None, :] - c[None, :, :]
-            dist = np.hypot(diff[..., 0], diff[..., 1])
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() < self.spacing * (1.0 - 1e-9):
-                raise ValueError("cell centers closer than one lattice spacing")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("cell centers must be finite")
+        tree = cKDTree(c)
+        if c.shape[0] > 1 and (tree.query(c, k=2)[0][:, 1].min()
+                               < self.spacing * (1.0 - 1e-9)):
+            raise ValueError("cell centers closer than one lattice spacing")
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_lattice", self._lattice_table())
+
+    def _lattice_table(self) -> tuple[np.ndarray, float, float] | None:
+        """``(table, q0, r0)`` with ``table[q - q0, r - r0]`` the index of the
+        cell at lattice site ``(q, r)``, -1 for no cell; a border of -1 lies
+        around the pattern.  None when a center is off the lattice anchored
+        at the origin, or when the centers are too sparse for a dense table
+        (a compact pattern fills about three quarters of it)."""
+        c, s = self.centers, self.spacing
+        q, r = _cube_round(c[:, 0], c[:, 1], s)
+        off = np.hypot(s * (q + 0.5 * r) - c[:, 0], _HALF_SQRT3 * s * r - c[:, 1])
+        q0, r0 = q.min() - 1.0, r.min() - 1.0
+        shape = (int(q.max() - q0) + 2, int(r.max() - r0) + 2)
+        if off.max() > _LATTICE_RTOL * s or shape[0] * shape[1] > 16 * self.d + 4096:
+            return None
+        table = np.full(shape, -1, dtype=np.intp)
+        table[(q - q0).astype(np.intp), (r - r0).astype(np.intp)] = \
+            np.arange(self.d)
+        return table, q0, r0
 
     @property
     def d(self) -> int:
@@ -138,17 +190,58 @@ class HexAlphabet:
     def nearest_cell(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest cell index for each point and whether the point lies inside it.
 
-        Ties resolve to the lowest index.  Returns ``(indices, inside)``.
+        Returns ``(indices, inside)``.  Distances that agree within 1e-12
+        of the lattice spacing are a tie, resolved to the lowest index.
+
+        A point inside the pattern costs O(1): it is rounded to the lattice
+        and its site looked up in a table.  The other points cost O(log d)
+        each, in a k-d tree query over the centers: points outside the
+        pattern or in a pruned hole (which still have a nearest cell),
+        points within 1e-9 spacings of a cell edge, and every point of an
+        alphabet whose centers are off the lattice.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        d2 = (np.sum(pts ** 2, axis=1)[:, None]
-              - 2.0 * pts @ self.centers.T
-              + np.sum(self.centers ** 2, axis=1)[None, :])
-        idx = np.argmin(d2, axis=1)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if self._lattice is None:
+            idx = self._tree_nearest(pts)
+        else:
+            idx, clear = self._lattice_nearest(pts)
+            rest = np.flatnonzero(~clear)
+            idx[rest] = self._tree_nearest(pts[rest])
         chosen = self.centers[idx]
         inside = hexagon_mask(pts[:, 0] - chosen[:, 0], pts[:, 1] - chosen[:, 1],
                               (0.0, 0.0), self.cell_radius)
         return idx, inside
+
+    def _lattice_nearest(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell at each point's nearest lattice site (-1 for none), and
+        whether that cell is certain: a cell exists and the point is clear
+        of its edges by ``_EDGE_RTOL`` of the spacing."""
+        table, q0, r0 = self._lattice
+        q, r = _cube_round(pts[:, 0], pts[:, 1], self.spacing)
+        qi = np.clip(q - q0, 0, table.shape[0] - 1).astype(np.intp)
+        ri = np.clip(r - r0, 0, table.shape[1] - 1).astype(np.intp)
+        idx = table[qi, ri]
+        rel = pts - self.centers[idx]
+        dx, dy = rel[:, 0], rel[:, 1]
+        reach = (0.5 - _EDGE_RTOL) * self.spacing
+        clear = idx >= 0
+        clear &= np.abs(dx) < reach
+        clear &= np.abs(0.5 * dx + _HALF_SQRT3 * dy) < reach
+        clear &= np.abs(-0.5 * dx + _HALF_SQRT3 * dy) < reach
+        return idx, clear
+
+    def _tree_nearest(self, pts: np.ndarray) -> np.ndarray:
+        """Nearest center by k-d tree, with ties to the lowest index."""
+        dist, idx = self._tree.query(pts, k=2)
+        nearest = idx[:, 0]
+        tol = _TIE_RTOL * self.spacing
+        tied = np.flatnonzero(dist[:, 1] - dist[:, 0] <= tol)
+        if tied.size:
+            groups = self._tree.query_ball_point(pts[tied], dist[tied, 0] + tol)
+            nearest[tied] = [min(group) for group in groups]
+        return nearest
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """True where a point lies inside some cell of the pattern."""
@@ -298,6 +391,7 @@ class ProbabilityMap:
         expected = {c.label for c in ALL_CONFIGS}
         if set(self.probs) != expected or set(self.residual) != expected:
             raise ValueError(f"maps must cover configurations {sorted(expected)}")
+        probs, residual = {}, {}
         for key in expected:
             p = np.asarray(self.probs[key], dtype=np.float64)
             r = np.asarray(self.residual[key], dtype=np.float64)
@@ -309,8 +403,10 @@ class ProbabilityMap:
             if np.any(np.abs(total - 1.0) > 1e-6):
                 raise ValueError(
                     f"probabilities for {key} sum to {total} instead of 1")
-            self.probs[key] = np.clip(p, 0.0, None)
-            self.residual[key] = np.clip(r, 0.0, None)
+            probs[key] = np.clip(p, 0.0, None)
+            residual[key] = np.clip(r, 0.0, None)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "residual", residual)
 
     def column(self, config, source_label: str) -> tuple[np.ndarray, float]:
         """Cell probabilities and residual for one configuration and source."""
@@ -397,11 +493,17 @@ def source_from_conjugate(maps: ProbabilityMap) -> SourceDistribution:
     pattern does not depend on the sent character, so the average is the
     common cell distribution.
     """
-    mixed = 0.5 * (maps.probs["IF"].mean(axis=0) + maps.probs["FI"].mean(axis=0))
+    return _crossed_source(maps.cell_labels, maps.probs["IF"], maps.probs["FI"])
+
+
+def _crossed_source(cell_labels, if_rows: np.ndarray,
+                   fi_rows: np.ndarray) -> SourceDistribution:
+    """Renormalized average of IF and FI rows, each of shape (sources, cells)."""
+    mixed = 0.5 * (if_rows.mean(axis=0) + fi_rows.mean(axis=0))
     total = mixed.sum()
     if total <= 0:
         raise ValueError("crossed-configuration maps carry no probability")
-    return SourceDistribution(maps.cell_labels, mixed / total)
+    return SourceDistribution(cell_labels, mixed / total)
 
 
 @dataclass(frozen=True)

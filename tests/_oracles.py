@@ -70,3 +70,16 @@ def gaussian_mass_in_hex_scanline(cell_center, gauss_center, waist: float,
             / (sigma * np.sqrt(2.0 * np.pi))
         total += float((px * py).sum()) * width
     return total
+
+
+def nearest_center_bruteforce(points: np.ndarray, centers: np.ndarray,
+                              spacing: float, rtol: float = 1e-12) -> np.ndarray:
+    """Index of the nearest center from the full distance matrix.
+
+    Centers whose distance is within ``rtol * spacing`` of the smallest are
+    tied; the lowest tied index wins.
+    """
+    dist = np.hypot(points[:, None, 0] - centers[None, :, 0],
+                    points[:, None, 1] - centers[None, :, 1])
+    tied = dist <= dist.min(axis=1, keepdims=True) + rtol * spacing
+    return np.argmax(tied, axis=1)

@@ -43,6 +43,18 @@ class TestEvidenceScores:
         same, crossed = evidence_scores((10e-3, 0.0), model37)
         assert same[0] < 1e-6 and crossed[0] < 1e-6
 
+    def test_matches_distance_to_every_center(self, model37, alphabet37):
+        rng = np.random.default_rng(4)
+        reach = 1.5 * alphabet37.envelope_radius
+        pts = rng.uniform(-reach, reach, (5000, 2))
+        same, _ = evidence_scores(pts, model37)
+        c = alphabet37.centers
+        dmin2 = ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        sigma = model37.aperture_waist / 2
+        expected = (alphabet37.cell_area * np.exp(-0.5 * dmin2 / sigma ** 2)
+                    / (2 * np.pi * sigma ** 2))
+        assert np.allclose(same, expected, rtol=1e-12, atol=0.0)
+
     def test_peak_value(self, model37, alphabet37):
         same, _ = evidence_scores(alphabet37.centers[0], model37)
         sigma = model37.aperture_waist / 2

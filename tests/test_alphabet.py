@@ -8,8 +8,33 @@ from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
                                  calibrate_envelope, decode, leakage_check,
                                  load_alphabet, prune_alphabet, save_alphabet,
                                  source_from_conjugate)
-from spatialqkd.model import GaussianModel
-from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
+from spatialqkd.model import GaussianModel, hex_vertices
+from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry, hexagon_mask
+
+from _oracles import nearest_center_bruteforce
+
+_BASE37 = build_hex_alphabet(3, 200e-6)
+_SHIFTED37 = HexAlphabet.from_dict(
+    {**_BASE37.to_dict(),
+     "centers": (_BASE37.centers + (37e-6, -81e-6)).tolist()})
+_SPARSE = HexAlphabet(200e-6, [[0.0, 0.0], [-1e4 * _BASE37.spacing, 0.0]],
+                      ("0", "1"))
+
+#: Ring alphabets, a packed one, pruned ones, one off the lattice and one
+#: too sparse for a lattice table.
+_ALPHABETS = st.one_of(
+    st.integers(min_value=0, max_value=12).map(
+        lambda rings: build_hex_alphabet(rings, 200e-6)),
+    st.just(build_packed_alphabet(1.2e-3, 60e-6)),
+    st.sets(st.integers(min_value=0, max_value=36), min_size=1,
+            max_size=8).map(lambda idx: prune_alphabet(
+                _BASE37, [_BASE37.labels[i] for i in idx])),
+    st.just(_SHIFTED37),
+    st.just(_SPARSE),
+)
+
+#: Radius, in units of the pattern radius: inside, near the rim, far out.
+_ZONES = ((0.0, 0.9), (0.9, 1.15), (1.15, 20.0))
 
 
 class TestConstruction:
@@ -54,6 +79,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HexAlphabet(200e-6, np.array([[0.0, 0.0], [spacing, 0.0]]),
                         ("0", "0"))
+        with pytest.raises(ValueError):
+            HexAlphabet(200e-6, np.array([[0.0, 0.0], [np.nan, 0.0]]),
+                        ("0", "1"))
 
     def test_inverse_index(self, alphabet37):
         for i in range(alphabet37.d):
@@ -132,6 +160,54 @@ class TestDecode:
         midpoint = (alphabet37.spacing / 2, 0.0)
         assert decode(midpoint, BasisConfig.from_label("FF"), alphabet37) == "0"
 
+    @pytest.mark.parametrize("alph", [
+        _BASE37, build_hex_alphabet(10, 200e-6),
+        prune_alphabet(_BASE37, ["0", "2", "B", "S"])],
+        ids=["d37", "d331", "pruned"])
+    def test_every_edge_and_vertex_tie_takes_lowest_index(self, alph):
+        c, a, s = alph.centers, alph.cell_radius, alph.spacing
+        pair = np.hypot(*(c[:, None, :] - c[None, :, :]).transpose(2, 0, 1))
+        i, j = np.nonzero(np.triu(np.abs(pair - s) < 1e-9 * s))
+        assert i.size > 0
+        idx, inside = alph.nearest_cell(0.5 * (c[i] + c[j]))
+        assert np.array_equal(idx, np.minimum(i, j))
+        assert inside.all()
+
+        vertices = hex_vertices(c, a).reshape(-1, 2)
+        meets = np.hypot(*(vertices[:, None, :] - c[None, :, :])
+                         .transpose(2, 0, 1)) <= a * (1 + 1e-9)
+        idx, inside = alph.nearest_cell(vertices)
+        assert np.array_equal(idx, np.argmax(meets, axis=1))
+        assert inside.all()
+
+    @given(alph=_ALPHABETS, seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           extra=st.lists(st.tuples(st.sampled_from(_ZONES),
+                                    st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          max_size=20))
+    def test_matches_brute_force(self, alph, seed, extra):
+        rng = np.random.default_rng(seed)
+        zones = [(lo, hi, u, v) for (lo, hi), u, v in extra]
+        zones += [(lo, hi, rng.random(), rng.random())
+                  for lo, hi in _ZONES for _ in range(300)]
+        lo, hi, u, v = np.array(zones).T
+        radius = alph.envelope_radius * (lo + (hi - lo) * u)
+        angle = 2 * np.pi * v
+        pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        idx, inside = alph.nearest_cell(pts)
+        assert idx.dtype == np.intp and inside.dtype == bool
+        expected = nearest_center_bruteforce(pts, alph.centers, alph.spacing)
+        assert np.array_equal(idx, expected)
+        chosen = alph.centers[idx]
+        assert np.array_equal(inside, hexagon_mask(
+            pts[:, 0] - chosen[:, 0], pts[:, 1] - chosen[:, 1], (0.0, 0.0),
+            alph.cell_radius))
+
+    def test_rejects_non_finite_points(self, alphabet37):
+        with pytest.raises(ValueError):
+            alphabet37.nearest_cell([[np.nan, 0.0]])
+        with pytest.raises(ValueError):
+            alphabet37.nearest_cell([[0.0, np.inf]])
+
     def test_imaging_negation(self, alphabet37):
         pos = alphabet37.centers[1]
         assert decode(pos, BasisConfig.from_label("FF"), alphabet37) == "1"
@@ -192,6 +268,22 @@ class TestProbabilityMap:
                            {k: v.copy() for k, v in table.probs.items()
                             if k != "IF"},
                            {k: v.copy() for k, v in table.residual.items()})
+
+    def test_leaves_caller_dicts_alone(self, model37):
+        table = model37.probability_table()
+        probs = {k: v.copy() for k, v in table.probs.items()}
+        residual = {k: v.copy() for k, v in table.residual.items()}
+        probs["FF"][0, -1] = -1e-13  # within tolerance, clipped to zero
+        before = {k: v.copy() for k, v in probs.items()}
+        arrays = dict(probs)
+        built = ProbabilityMap(table.cell_labels, table.cell_centers,
+                               table.source_labels, probs, residual)
+        assert built.probs["FF"][0, -1] == 0.0
+        for key in probs:
+            assert probs[key] is arrays[key]
+            assert np.array_equal(probs[key], before[key])
+            assert probs[key] is not built.probs[key]
+            assert residual[key] is not built.residual[key]
 
     def test_column_lookup(self, model37, alphabet37):
         table = model37.probability_table()

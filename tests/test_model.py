@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spatialqkd.alphabet import build_hex_alphabet, calibrate_envelope
+from spatialqkd.alphabet import (build_hex_alphabet, calibrate_envelope,
+                                 source_from_conjugate)
 from spatialqkd.model import (GaussianModel, envelope_distribution,
                               gaussian_polygon_integral, hex_vertices)
 from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
@@ -145,6 +146,16 @@ class TestGaussianModel:
 
     def test_table_is_cached(self, model37):
         assert model37.probability_table() is model37.probability_table()
+
+    @pytest.mark.parametrize("rings", [3, 10])
+    def test_source_needs_no_table(self, rings, geometry):
+        model = GaussianModel(alphabet=build_hex_alphabet(rings, 200e-6),
+                              geometry=geometry)
+        src = model.source()
+        assert model._table is None
+        ref = source_from_conjugate(model.probability_table())
+        assert src.labels == ref.labels
+        assert np.array_equal(src.probabilities, ref.probabilities)
 
     def test_source_requires_full_region(self, alphabet37, geometry):
         inner = build_hex_alphabet(1, 200e-6)
