@@ -7,7 +7,7 @@ detection alphabet, the protocol session with detector noise, an
 intercept-resend attacker, and the Shannon-information security balance.
 """
 
-from .adversary import AdversarySpec, intercept_resend, suppress_on_evidence
+from .adversary import AdversarySpec
 from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
                        bin_probabilities, build_hex_alphabet,
                        build_packed_alphabet, calibrate_envelope, decode,
@@ -23,9 +23,7 @@ from .optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig, Geometry,
                      analytic_amplitude, angular_spectrum,
                      detection_probability_map, full_chain,
                      make_aperture_field, point_inverted, propagate_chain)
-from .protocol import (ErrorEstimate, NoiseModel, RoundRecord, SessionStats,
-                       alice_prepare, bob_measure, estimate_error, flatten_key,
-                       run_session, sift)
+from .protocol import ErrorEstimate, NoiseModel, SessionStats, run_session
 
 __version__ = "0.1.0"
 
@@ -34,15 +32,13 @@ __all__ = [
     "BasisConfig", "CLONING_ATTACK_ERROR_BOUND", "ConfigError",
     "ErrorEstimate", "ExperimentConfig", "GaussianModel", "Geometry",
     "GeometryError", "HexAlphabet", "LensChain", "NoiseModel", "OpticalField",
-    "ProbabilityMap", "RoundRecord", "SamplingError", "SessionParams",
-    "SessionStats", "SourceDistribution", "alice_prepare",
-    "analytic_amplitude", "angular_spectrum", "bin_probabilities",
-    "bob_measure", "build_hex_alphabet", "build_packed_alphabet",
+    "ProbabilityMap", "SamplingError", "SessionParams", "SessionStats",
+    "SourceDistribution", "analytic_amplitude", "angular_spectrum",
+    "bin_probabilities", "build_hex_alphabet", "build_packed_alphabet",
     "calibrate_envelope", "decode", "detection_probability_map",
-    "envelope_distribution", "estimate_error", "flatten_key", "full_chain",
-    "info_ab", "info_eve", "intercept_resend", "leakage_check",
-    "make_aperture_field", "mutual_information_exact", "point_inverted",
-    "propagate_chain", "prune_alphabet", "run_session", "security_crossover",
-    "security_report", "shannon_entropy", "sift", "source_from_conjugate",
-    "suppress_on_evidence", "uniform_intercept_error",
+    "envelope_distribution", "full_chain", "info_ab", "info_eve",
+    "leakage_check", "make_aperture_field", "mutual_information_exact",
+    "point_inverted", "propagate_chain", "prune_alphabet", "run_session",
+    "security_crossover", "security_report", "shannon_entropy",
+    "source_from_conjugate", "uniform_intercept_error",
 ]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .optics import BASIS_BY_CODE, Basis
+from .optics import BASIS_BY_CODE
 
 if TYPE_CHECKING:
     from .model import GaussianModel
@@ -30,17 +30,21 @@ if TYPE_CHECKING:
 __all__ = [
     "STRATEGIES",
     "AdversarySpec",
-    "EveRound",
     "AttackArrays",
     "evidence_scores",
     "attack_batch",
-    "intercept_resend",
-    "suppress_on_evidence",
     "eve_information_estimate",
     "eve_log_to_csv",
 ]
 
 STRATEGIES = ("none", "intercept_resend", "suppress_on_evidence")
+
+#: Rows per write in the CSV exports; bounds their transient memory.
+_CSV_BLOCK = 4096
+
+#: CSV field per basis code, with the empty field at code -1.
+_BASIS_FIELDS = np.array([b.value for b in BASIS_BY_CODE] + [""], dtype=object)
+_FLAG_FIELDS = np.array(["0", "1"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -66,16 +70,6 @@ class AdversarySpec:
     @property
     def active(self) -> bool:
         return self.strategy != "none" and self.eta > 0.0
-
-
-@dataclass(frozen=True)
-class EveRound:
-    """The attacker's view of a single tapped photon."""
-
-    basis: Basis
-    measured: str
-    resent: str | None
-    dropped: bool
 
 
 @dataclass(eq=False)
@@ -126,7 +120,7 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
 
     Consumes the same random draws for both active strategies, so a
     suppression threshold of zero reproduces plain intercept-resend round for
-    round.  Draw order: tap decisions, attack bases, measurement noise.
+    round.  The draw order is documented in ``GaussianModel.sample_plane``.
     """
     m = alice_idx.shape[0]
     if not spec.active:
@@ -140,15 +134,7 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
     basis_code = rng.integers(0, 2, m).astype(np.int8)
     noise = rng.standard_normal((m, 2))
 
-    centers = model.alphabet.centers
-    matched = basis_code == alice_basis
-    sign = (2 * basis_code - 1).astype(np.float64)
-    phys_center = np.where(matched[:, None], sign[:, None] * centers[alice_idx],
-                           0.0)
-    sigma = np.where(matched, model.aperture_waist, model.envelope_waist) / 2.0
-    physical = phys_center + sigma[:, None] * noise
-    logical = sign[:, None] * physical
-
+    logical = model.sample_plane(noise, alice_basis, alice_idx, basis_code)
     measured_idx, _ = model.alphabet.nearest_cell(logical)
     dropped = np.zeros(m, dtype=bool)
     if spec.strategy == "suppress_on_evidence" and spec.evidence_threshold > 0:
@@ -157,35 +143,6 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
         dropped = attacked & (same < eps) & (crossed >= eps)
     return AttackArrays(attacked=attacked, basis_code=basis_code,
                         measured_idx=measured_idx, dropped=dropped)
-
-
-def _single_attack(rng: np.random.Generator, sent: str, alice_basis: Basis,
-                   model: "GaussianModel", threshold: float | None) -> EveRound:
-    alphabet = model.alphabet
-    a_code = BASIS_BY_CODE.index(alice_basis)
-    spec = AdversarySpec(strategy="suppress_on_evidence" if threshold
-                         else "intercept_resend", eta=1.0,
-                         evidence_threshold=threshold or 0.0)
-    out = attack_batch(rng, np.array([a_code]),
-                       np.array([alphabet.index_of(sent)]), model, spec)
-    basis = BASIS_BY_CODE[int(out.basis_code[0])]
-    measured = alphabet.labels[int(out.measured_idx[0])]
-    dropped = bool(out.dropped[0])
-    return EveRound(basis=basis, measured=measured,
-                    resent=None if dropped else measured, dropped=dropped)
-
-
-def intercept_resend(rng: np.random.Generator, sent: str, alice_basis: Basis,
-                     model: "GaussianModel") -> EveRound:
-    """Tap one photon: random basis, nearest-cell readout, re-preparation."""
-    return _single_attack(rng, sent, alice_basis, model, None)
-
-
-def suppress_on_evidence(rng: np.random.Generator, sent: str,
-                         alice_basis: Basis, model: "GaussianModel",
-                         threshold: float = 1e-4) -> EveRound:
-    """Tap one photon but drop it on clear evidence of a basis mismatch."""
-    return _single_attack(rng, sent, alice_basis, model, threshold)
 
 
 def eve_information_estimate(matched: np.ndarray, measured_idx: np.ndarray,
@@ -209,13 +166,27 @@ def eve_information_estimate(matched: np.ndarray, measured_idx: np.ndarray,
     return hits.size / n * entropy
 
 
+def _write_csv(path, header: str, n: int, block_fields) -> None:
+    """Write ``n`` CSV rows, a block of rows at a time.
+
+    ``block_fields(block)`` returns the columns of the rows in slice
+    ``block`` as arrays of field strings.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header)
+        for start in range(0, n, _CSV_BLOCK):
+            fields = block_fields(slice(start, start + _CSV_BLOCK))
+            rows = zip(*[f.tolist() for f in fields])
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
+
+
 def eve_log_to_csv(path, round_index: np.ndarray, basis_code: np.ndarray,
                    measured_idx: np.ndarray, dropped: np.ndarray,
                    labels: tuple[str, ...]) -> None:
     """Write the attacker's records: round, basis, measured char, dropped."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("round,basis,measured_char,dropped\n")
-        for i in range(round_index.shape[0]):
-            basis = BASIS_BY_CODE[int(basis_code[i])].value
-            fh.write(f"{int(round_index[i])},{basis},"
-                     f"{labels[int(measured_idx[i])]},{int(dropped[i])}\n")
+    chars = np.array(labels, dtype=object)
+    _write_csv(path, "round,basis,measured_char,dropped\n",
+               round_index.shape[0], lambda b: (
+                   round_index[b].astype(str), _BASIS_FIELDS[basis_code[b]],
+                   chars[measured_idx[b]],
+                   _FLAG_FIELDS[dropped[b].astype(np.int8)]))

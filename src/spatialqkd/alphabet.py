@@ -243,11 +243,6 @@ class HexAlphabet:
             nearest[tied] = [min(group) for group in groups]
         return nearest
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """True where a point lies inside some cell of the pattern."""
-        _, inside = self.nearest_cell(points)
-        return inside
-
     def to_dict(self) -> dict:
         return {
             "cell_radius": self.cell_radius,

@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, security_crossover,
                          security_report, shannon_entropy)
 from .model import envelope_distribution
-from .optics import BasisConfig, GeometryError, SamplingError
+from .optics import BasisConfig, SamplingError
 from .protocol import run_session
 
 __all__ = ["main", "build_parser"]
@@ -256,14 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, GeometryError, SamplingError) as exc:
+    except (ValueError, OSError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -59,12 +59,12 @@ class SessionParams:
     keep_log: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, int) or self.rounds < 0:
-            raise ConfigError(f"rounds must be a non-negative integer, "
-                              f"got {self.rounds!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, "
-                              f"got {self.seed!r}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            # Not isinstance: bool is an int subclass, and True is no count.
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, "
+                                  f"got {value!r}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(f"sample_fraction must be in (0, 1], "
                               f"got {self.sample_fraction!r}")

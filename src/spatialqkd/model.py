@@ -146,12 +146,25 @@ class GaussianModel:
     def plane_waist(self, config: BasisConfig) -> float:
         return self.aperture_waist if config.matched else float(self.envelope_waist)
 
-    def sample_positions(self, rng: np.random.Generator, config: BasisConfig,
-                         source_index: int, size: int) -> np.ndarray:
-        """Draw detection-plane positions, shape (size, 2)."""
-        mean = self.plane_center(config, source_index)
-        sigma = self.plane_waist(config) / 2.0
-        return mean + sigma * rng.standard_normal((size, 2))
+    def sample_plane(self, noise: np.ndarray, prep_code: np.ndarray,
+                     idx: np.ndarray, meas_code: np.ndarray) -> np.ndarray:
+        """Detection-plane positions in the decoder frame, shape (m, 2).
+
+        ``noise`` holds (m, 2) standard-normal draws the caller has made;
+        ``prep_code`` and ``meas_code`` are the basis codes of the preparing
+        and the measuring station and ``idx`` the prepared character.
+
+        The callers' draw order fixes the transcripts: ``attack_batch`` draws
+        tap decisions, attack bases, then this noise; ``_measure_batch``
+        draws this noise, jitter, background decisions, background cells,
+        then loss.
+        """
+        matched = prep_code == meas_code
+        sign = (2 * meas_code.astype(np.int64) - 1).astype(np.float64)
+        centers = np.where(matched[:, None],
+                           sign[:, None] * self.alphabet.centers[idx], 0.0)
+        sigma = np.where(matched, self.aperture_waist, self.envelope_waist) / 2.0
+        return sign[:, None] * (centers + sigma[:, None] * noise)
 
     def probability_table(self) -> ProbabilityMap:
         """Cell probabilities for all configurations and source characters.

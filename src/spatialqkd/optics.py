@@ -38,8 +38,7 @@ __all__ = [
     "angular_spectrum",
     "propagate_chain",
     "point_inverted",
-    "alice_chain",
-    "bob_chain",
+    "arm_chain",
     "channel_chain",
     "full_chain",
     "analytic_amplitude",
@@ -440,18 +439,12 @@ def point_inverted(field: OpticalField) -> OpticalField:
     return OpticalField(inv, field.extent, field.wavelength)
 
 
-def alice_chain(basis: Basis, geom: Geometry) -> LensChain:
+def arm_chain(party: str, basis: Basis, geom: Geometry) -> LensChain:
+    """The arm of one station, ``party`` "alice" or "bob", in one basis."""
     if basis == Basis.I:
         f = geom.imaging_focal
-        return LensChain((f, f), "alice_I")
-    return LensChain((geom.fourier_focal,), "alice_F")
-
-
-def bob_chain(basis: Basis, geom: Geometry) -> LensChain:
-    if basis == Basis.I:
-        f = geom.imaging_focal
-        return LensChain((f, f), "bob_I")
-    return LensChain((geom.fourier_focal,), "bob_F")
+        return LensChain((f, f), f"{party}_I")
+    return LensChain((geom.fourier_focal,), f"{party}_F")
 
 
 def channel_chain(geom: Geometry) -> LensChain:
@@ -461,8 +454,8 @@ def channel_chain(geom: Geometry) -> LensChain:
 
 def full_chain(config: BasisConfig, geom: Geometry) -> tuple[LensChain, ...]:
     """The three arms photon traverses: Alice's, the channel relay, Bob's."""
-    return (alice_chain(config.alice, geom), channel_chain(geom),
-            bob_chain(config.bob, geom))
+    return (arm_chain("alice", config.alice, geom), channel_chain(geom),
+            arm_chain("bob", config.bob, geom))
 
 
 def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,

@@ -8,22 +8,25 @@ to a uniform key.
 
 The engine is vectorized and batched.  Batch ``b`` of a session with seed
 ``s`` uses the generator seeded with ``[s, b]``, so transcripts are
-reproducible bit for bit and independent of how work is split over batches;
-error estimation and key flattening draw from their own fixed substreams.
+reproducible bit for bit.  They stay so only because :data:`BATCH_SIZE` is a
+fixed constant: a different batch size splits the rounds over different
+generators and gives a different transcript.  Error estimation and key
+flattening draw from their own fixed substreams.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .adversary import attack_batch, eve_information_estimate
+from .adversary import (_BASIS_FIELDS, _FLAG_FIELDS, _write_csv, attack_batch,
+                        eve_information_estimate)
 from .alphabet import SourceDistribution
 from .model import GaussianModel
-from .optics import BASIS_BY_CODE, Basis, BasisConfig
+from .optics import BasisConfig
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -32,17 +35,10 @@ __all__ = [
     "BATCH_SIZE",
     "MIN_SAMPLES_PER_CHAR",
     "NoiseModel",
-    "RoundRecord",
-    "SiftedPair",
     "SessionLog",
     "ErrorEstimate",
     "SessionStats",
     "SessionResult",
-    "alice_prepare",
-    "bob_measure",
-    "sift",
-    "estimate_error",
-    "flatten_key",
     "run_session",
 ]
 
@@ -88,30 +84,6 @@ class NoiseModel:
         return d * b / (1.0 + d * b)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round as seen with full (omniscient) bookkeeping."""
-
-    index: int
-    alice_basis: Basis
-    bob_basis: Basis
-    sent: str
-    received: str | None
-    attacked: bool = False
-    eve_basis: Basis | None = None
-    eve_measured: str | None = None
-    eve_dropped: bool = False
-
-
-@dataclass(frozen=True)
-class SiftedPair:
-    """A matched-basis round that produced a detection."""
-
-    config: BasisConfig
-    sent: str
-    received: str
-
-
 @dataclass(eq=False)
 class SessionLog:
     """Column-oriented record of every round.
@@ -134,42 +106,23 @@ class SessionLog:
     def __len__(self) -> int:
         return self.sent.shape[0]
 
-    def record(self, i: int) -> RoundRecord:
-        attacked = bool(self.attacked[i])
-        received = int(self.received[i])
-        return RoundRecord(
-            index=i,
-            alice_basis=BASIS_BY_CODE[int(self.alice_basis[i])],
-            bob_basis=BASIS_BY_CODE[int(self.bob_basis[i])],
-            sent=self.labels[int(self.sent[i])],
-            received=self.labels[received] if received >= 0 else None,
-            attacked=attacked,
-            eve_basis=BASIS_BY_CODE[int(self.eve_basis[i])] if attacked else None,
-            eve_measured=self.labels[int(self.eve_measured[i])] if attacked else None,
-            eve_dropped=bool(self.eve_dropped[i]),
-        )
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("round,alice_basis,bob_basis,sent,received,"
-                     "attacked,eve_basis,eve_measured,eve_dropped\n")
-            for i in range(len(self)):
-                r = self.record(i)
-                fh.write(f"{r.index},{r.alice_basis.value},{r.bob_basis.value},"
-                         f"{r.sent},{r.received or ''},{int(r.attacked)},"
-                         f"{r.eve_basis.value if r.eve_basis else ''},"
-                         f"{r.eve_measured or ''},{int(r.eve_dropped)}\n")
+        chars = np.array(self.labels + ("",), dtype=object)
 
+        def fields(b: slice):
+            hit = self.attacked[b]
+            return (np.arange(b.start, b.start + hit.shape[0]).astype(str),
+                    _BASIS_FIELDS[self.alice_basis[b]],
+                    _BASIS_FIELDS[self.bob_basis[b]],
+                    chars[self.sent[b]], chars[self.received[b]],
+                    _FLAG_FIELDS[hit.astype(np.int8)],
+                    _BASIS_FIELDS[np.where(hit, self.eve_basis[b], -1)],
+                    chars[np.where(hit, self.eve_measured[b], -1)],
+                    _FLAG_FIELDS[self.eve_dropped[b].astype(np.int8)])
 
-def alice_prepare(rng: np.random.Generator,
-                  source: SourceDistribution) -> tuple[Basis, str]:
-    """Draw one round's basis (uniform) and character (source-distributed)."""
-    basis = BASIS_BY_CODE[int(rng.integers(0, 2))]
-    idx = int(rng.choice(len(source.labels), p=source.probabilities))
-    return basis, source.labels[idx]
+        _write_csv(path, "round,alice_basis,bob_basis,sent,received,"
+                   "attacked,eve_basis,eve_measured,eve_dropped\n",
+                   len(self), fields)
 
 
 def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
@@ -178,8 +131,7 @@ def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
                    present: np.ndarray | None = None) -> np.ndarray:
     """Detected cell index per round, -1 for no detection.
 
-    Draw order is fixed (position noise, jitter, background, loss) so that
-    scalar and batched callers consume identical streams.
+    The draw order is documented in ``GaussianModel.sample_plane``.
     """
     alphabet = model.alphabet
     m = prep_idx.shape[0]
@@ -190,13 +142,11 @@ def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
     bg_cell = rng.integers(0, d, m)
     loss_u = rng.random(m)
 
-    matched = prep_basis == bob_basis
-    sign = (2 * bob_basis.astype(np.int64) - 1).astype(np.float64)
-    centers = np.where(matched[:, None],
-                       sign[:, None] * alphabet.centers[prep_idx], 0.0)
-    sigma = np.where(matched, model.aperture_waist, model.envelope_waist) / 2.0
-    pos = centers + sigma[:, None] * b_noise + noise.jitter_sigma * jitter
-    logical = sign[:, None] * pos
+    # The decoder frame flips with the arm; negation is exact, so adding the
+    # flipped jitter equals flipping the jittered position.
+    sign = 2 * bob_basis.astype(np.int64)[:, None] - 1
+    logical = (model.sample_plane(b_noise, prep_basis, prep_idx, bob_basis)
+               + sign * (noise.jitter_sigma * jitter))
     idx, inside = alphabet.nearest_cell(logical)
     decoded = np.where(inside, idx, -1)
 
@@ -208,29 +158,6 @@ def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
     if noise.loss_prob > 0:
         decoded = np.where(loss_u < noise.loss_prob, -1, decoded)
     return decoded
-
-
-def bob_measure(rng: np.random.Generator, sent: str, prep_basis: Basis,
-                bob_basis: Basis, model: GaussianModel,
-                noise: NoiseModel = NoiseModel()) -> str | None:
-    """Measure one photon behind the given decoder arm."""
-    alphabet = model.alphabet
-    prep = np.array([BASIS_BY_CODE.index(prep_basis)], dtype=np.int8)
-    bob = np.array([BASIS_BY_CODE.index(bob_basis)], dtype=np.int8)
-    idx = np.array([alphabet.index_of(sent)])
-    out = _measure_batch(rng, prep, idx, bob, model, noise)
-    return alphabet.labels[int(out[0])] if out[0] >= 0 else None
-
-
-def sift(rounds: Union[SessionLog, Iterable[RoundRecord]]) -> list[SiftedPair]:
-    """Keep matched-basis rounds with a detection as (sent, received) pairs."""
-    pairs = []
-    for r in rounds:
-        if r.alice_basis == r.bob_basis and r.received is not None:
-            pairs.append(SiftedPair(
-                config=BasisConfig(r.alice_basis, r.bob_basis),
-                sent=r.sent, received=r.received))
-    return pairs
 
 
 @dataclass(eq=False)
@@ -309,56 +236,11 @@ def _estimate_from_arrays(rng: np.random.Generator, config_code: np.ndarray,
     return estimate, ~sample
 
 
-def estimate_error(pairs: list[SiftedPair], sample_fraction: float = 0.1,
-                   rng: np.random.Generator | None = None,
-                   ) -> tuple[ErrorEstimate, list[SiftedPair]]:
-    """Spend a random sample of sifted pairs on error estimation.
-
-    Returns the estimate and the unsampled pairs, which remain available for
-    key material.
-    """
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError(
-            f"sample_fraction must be in (0, 1], got {sample_fraction!r}")
-    rng = rng or np.random.default_rng()
-    if not pairs:
-        est, _ = _estimate_from_arrays(rng, np.empty(0, np.int8),
-                                       np.empty(0, np.int64),
-                                       np.empty(0, np.int64), (), 1.0)
-        return est, []
-    # Build index arrays against the label set present in the pairs.
-    seen = sorted({p.sent for p in pairs} | {p.received for p in pairs})
-    lookup = {lab: i for i, lab in enumerate(seen)}
-    sent = np.array([lookup[p.sent] for p in pairs])
-    received = np.array([lookup[p.received] for p in pairs])
-    code = np.array([1 if p.config.alice == Basis.F else 0 for p in pairs],
-                    dtype=np.int8)
-    est, keep = _estimate_from_arrays(rng, code, sent, received, tuple(seen),
-                                      sample_fraction)
-    return est, [p for p, k in zip(pairs, keep) if k]
-
-
 def _flatten_mask(tape: np.ndarray, idx: np.ndarray,
                   probs: np.ndarray) -> np.ndarray:
     """Acceptance mask of the rejection step taking ``P`` to uniform."""
     p_min = probs.min()
     return tape < p_min / probs[idx]
-
-
-def flatten_key(chars: list[str], source: SourceDistribution,
-                rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
-    """Thin a character stream so the kept characters are uniform.
-
-    Character ``k`` survives with probability ``min_j P_j / P_k``; the
-    expected keep fraction is ``d * min_j P_j``.  Returns the kept
-    characters and the boolean keep mask over the input positions, so two
-    parties sharing the same random tape can apply it to parallel streams.
-    """
-    lookup = {lab: i for i, lab in enumerate(source.labels)}
-    idx = np.array([lookup[c] for c in chars], dtype=np.int64)
-    tape = rng.random(len(chars))
-    mask = _flatten_mask(tape, idx, source.probabilities)
-    return [c for c, m in zip(chars, mask) if m], mask
 
 
 @dataclass(eq=False)

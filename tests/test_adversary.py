@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spatialqkd.adversary import (AdversarySpec, EveRound, attack_batch,
+from spatialqkd.adversary import (AdversarySpec, attack_batch,
                                   eve_information_estimate, eve_log_to_csv,
-                                  evidence_scores, intercept_resend,
-                                  suppress_on_evidence)
-from spatialqkd.optics import Basis
+                                  evidence_scores)
+from spatialqkd.optics import BASIS_BY_CODE, Basis
+
+F = BASIS_BY_CODE.index(Basis.F)
 
 
 class TestSpec:
@@ -130,6 +131,39 @@ class TestAttackBatch:
         assert np.all(mismatched[out.dropped])
         assert out.dropped.sum() < mismatched.sum()
 
+    def test_intercept_resend_round(self, model37):
+        idx = model37.alphabet.index_of("7")
+        out = attack_batch(np.random.default_rng(12), np.array([F], np.int8),
+                           np.array([idx]), model37,
+                           AdversarySpec(strategy="intercept_resend", eta=1.0))
+        assert out.attacked.tolist() == [True]
+        assert out.basis_code[0] in (0, 1)
+        assert 0 <= out.measured_idx[0] < model37.alphabet.d
+        assert not out.dropped[0]
+
+    def test_matched_readout_within_binomial_band(self, model37):
+        """Where her basis matches, she reads the sent character except
+        for the matched-basis leakage of the quadrature table."""
+        m = 40_000
+        idx = model37.alphabet.index_of("7")
+        out = attack_batch(np.random.default_rng(100), np.full(m, F, np.int8),
+                           np.full(m, idx), model37,
+                           AdversarySpec(strategy="intercept_resend", eta=1.0))
+        matched = out.basis_code == F
+        n = int(matched.sum())
+        wrong = int((out.measured_idx[matched] != idx).sum())
+        p = 1.0 - model37.probability_table().probs["FF"][idx, idx]
+        assert abs(wrong - n * p) < 5 * np.sqrt(n * p * (1 - p))
+
+    def test_suppression_round_can_drop(self, model37):
+        m = 300
+        out = attack_batch(np.random.default_rng(1000), np.full(m, F, np.int8),
+                           np.full(m, model37.alphabet.index_of("0")), model37,
+                           AdversarySpec(strategy="suppress_on_evidence",
+                                         eta=1.0, evidence_threshold=1e-4))
+        assert out.dropped.any()
+        assert np.all(out.attacked[out.dropped])
+
     def test_huge_threshold_is_self_defeating(self, model37):
         """Requiring overwhelming envelope evidence means nothing ever
         qualifies, so no rounds are dropped."""
@@ -139,35 +173,6 @@ class TestAttackBatch:
         out = attack_batch(rng, np.zeros(2_000, np.int8),
                            np.zeros(2_000, np.int64), model37, spec)
         assert not out.dropped.any()
-
-
-class TestScalarWrappers:
-    def test_intercept_resend_round(self, model37):
-        round_ = intercept_resend(np.random.default_rng(12), "7", Basis.F,
-                                  model37)
-        assert isinstance(round_, EveRound)
-        assert round_.basis in (Basis.I, Basis.F)
-        assert round_.measured in model37.alphabet.labels
-        assert not round_.dropped
-        assert round_.resent == round_.measured
-
-    def test_matched_scalar_reads_sent_char(self, model37):
-        for seed in range(20):
-            rng = np.random.default_rng(100 + seed)
-            round_ = intercept_resend(rng, "7", Basis.F, model37)
-            if round_.basis is Basis.F:
-                assert round_.measured == "7"
-
-    def test_suppression_round_can_drop(self, model37):
-        dropped = 0
-        for seed in range(300):
-            rng = np.random.default_rng(1000 + seed)
-            round_ = suppress_on_evidence(rng, "0", Basis.F, model37,
-                                          threshold=1e-4)
-            if round_.dropped:
-                dropped += 1
-                assert round_.resent is None
-        assert dropped > 0
 
 
 class TestEveInformation:

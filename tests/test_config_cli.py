@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,11 @@ class TestConfigValidation:
             SessionParams(source="laplace")
         with pytest.raises(ConfigError):
             SessionParams(rounds=-5)
+        for flags in ({"rounds": True}, {"seed": False}):
+            with pytest.raises(ConfigError):
+                SessionParams(**flags)
+        with pytest.raises(ConfigError, match="rounds"):
+            ExperimentConfig.from_json('{"session": {"rounds": true}}')
 
     def test_coarse_grid_reports_both_problems(self):
         cfg = ExperimentConfig(geometry=Geometry(grid_samples=64))
@@ -153,6 +159,24 @@ class TestCliSimulate:
         assert stats["eta"] == 0.8
         assert stats["eve"]["attacked"] > 0
         assert (tmp_path / "run" / "eve_records.csv").exists()
+
+    def test_log_bytes_are_pinned(self, tmp_path):
+        """Byte-exact round and attacker logs at a fixed seed.  The run
+        spans more than one write block and holds untouched, attacked,
+        dropped and undetected rows."""
+        out = tmp_path / "run"
+        code = main(["simulate", "--out", str(out), "--round-log",
+                     "--rounds", "5000", "--seed", "7",
+                     "--strategy", "suppress_on_evidence", "--eta", "0.6"])
+        assert code == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("rounds.csv", "eve_records.csv")}
+        assert digests == {
+            "rounds.csv": "6ad1186abfb31fec4247e802756ade9c"
+                          "1592cbe1851f320afb725af540c6ad68",
+            "eve_records.csv": "2bd9835b4f797aaf27d0b6580f691d6c"
+                               "863305b3675f3e6480d42f0f4bc6a4a9",
+        }
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"),

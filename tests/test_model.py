@@ -111,21 +111,29 @@ class TestGaussianModel:
             model37.envelope_waist
 
     def test_sample_positions_moments(self, model37, alphabet37):
-        rng = np.random.default_rng(7)
+        """Matched photons land on the sent cell in the decoder frame for
+        both arms: the imaging pair's point inversion is undone."""
         n = 200_000
-        pts = model37.sample_positions(rng, BasisConfig.from_label("FF"), 3, n)
-        assert pts.shape == (n, 2)
         sigma = model37.aperture_waist / 2
         tol = 5 * sigma / np.sqrt(n)
-        assert np.allclose(pts.mean(axis=0), alphabet37.centers[3], atol=tol)
-        assert np.allclose(pts.std(axis=0), sigma, rtol=0.02)
+        noise = np.random.default_rng(7).standard_normal((n, 2))
+        idx = np.full(n, 3)
+        for code in (0, 1):
+            basis = np.full(n, code, dtype=np.int8)
+            pts = model37.sample_plane(noise, basis, idx, basis)
+            assert pts.shape == (n, 2)
+            assert np.allclose(pts.mean(axis=0), alphabet37.centers[3],
+                               atol=tol)
+            assert np.allclose(pts.std(axis=0), sigma, rtol=0.02)
 
     def test_sample_positions_crossed_center(self, model37):
-        rng = np.random.default_rng(8)
-        pts = model37.sample_positions(rng, BasisConfig.from_label("FI"), 3,
-                                       100_000)
+        n = 100_000
+        noise = np.random.default_rng(8).standard_normal((n, 2))
+        pts = model37.sample_plane(noise, np.ones(n, np.int8), np.full(n, 3),
+                                   np.zeros(n, np.int8))
         sigma = model37.envelope_waist / 2
-        assert np.allclose(pts.mean(axis=0), 0.0, atol=5 * sigma / np.sqrt(1e5))
+        assert np.allclose(pts.mean(axis=0), 0.0, atol=5 * sigma / np.sqrt(n))
+        assert np.allclose(pts.std(axis=0), sigma, rtol=0.02)
 
     def test_probability_table_structure(self, model37, alphabet37):
         table = model37.probability_table()

@@ -4,8 +4,8 @@ import pytest
 from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                Geometry, GeometryError, IntensityMap,
                                LensChain, OpticalField, SamplingError,
-                               alice_chain, analytic_amplitude,
-                               angular_spectrum, bob_chain, channel_chain,
+                               analytic_amplitude, angular_spectrum,
+                               arm_chain, channel_chain,
                                detection_probability_map, full_chain,
                                grid_coords, hexagon_mask, make_aperture_field,
                                point_inverted, propagate_chain)
@@ -64,9 +64,12 @@ class TestLensChain:
             LensChain((-0.1,), "alice_F")
 
     def test_builders(self, geom):
-        assert alice_chain(Basis.I, geom).focal_lengths == (0.1, 0.1)
-        assert alice_chain(Basis.F, geom).focal_lengths == (0.2,)
-        assert bob_chain(Basis.F, geom).role == "bob_F"
+        assert arm_chain("alice", Basis.I, geom).focal_lengths == (0.1, 0.1)
+        assert arm_chain("alice", Basis.F, geom).focal_lengths == (0.2,)
+        assert arm_chain("bob", Basis.F, geom).role == "bob_F"
+        assert arm_chain("bob", Basis.I, geom).role == "bob_I"
+        with pytest.raises(GeometryError):
+            arm_chain("eve", Basis.F, geom)
         assert channel_chain(geom).focal_lengths == (0.15, 0.15)
         chains = full_chain(BasisConfig.from_label("IF"), geom)
         assert [c.role for c in chains] == ["alice_I", "channel", "bob_F"]
@@ -109,7 +112,7 @@ class TestTransforms:
 
     def test_lens_power_and_extent(self, geom):
         field = gaussian_field(geom, 100e-6)
-        out = propagate_chain(field, alice_chain(Basis.F, geom))
+        out = propagate_chain(field, arm_chain("alice", Basis.F, geom))
         assert out.power == pytest.approx(1.0, rel=1e-12)
         expected = geom.wavelength * geom.fourier_focal * field.n / (4 * field.extent)
         assert out.extent == pytest.approx(expected)
@@ -119,13 +122,13 @@ class TestTransforms:
         outs = []
         for center in ((0.0, 0.0), (600e-6, -400e-6)):
             field = gaussian_field(geom, 100e-6, center)
-            out = propagate_chain(field, alice_chain(Basis.F, geom))
+            out = propagate_chain(field, arm_chain("alice", Basis.F, geom))
             outs.append(np.abs(out.samples))
         peak = outs[0].max()
         assert np.max(np.abs(outs[0] - outs[1])) / peak < 1e-6
         # waist of the transform: 2 f / (k w), measured from second moments
         out = propagate_chain(gaussian_field(geom, 100e-6),
-                              alice_chain(Basis.F, geom))
+                              arm_chain("alice", Basis.F, geom))
         x, _ = out.meshgrid()
         var = float((x ** 2 * out.intensity()).sum() / out.intensity().sum())
         waist = 2 * np.sqrt(var)  # intensity sigma is waist / 2 per axis
@@ -136,7 +139,7 @@ class TestTransforms:
         extra = gaussian_field(geom, 90e-6, (-300e-6, 200e-6))
         field = OpticalField(base.samples + 0.3j * extra.samples,
                              base.extent, base.wavelength).normalized()
-        out = propagate_chain(field, alice_chain(Basis.I, geom))
+        out = propagate_chain(field, arm_chain("alice", Basis.I, geom))
         assert out.extent == pytest.approx(field.extent)
         inverted = point_inverted(field)
         assert np.max(np.abs(out.samples - inverted.samples)) < 1e-9
@@ -151,7 +154,7 @@ class TestTransforms:
         # cannot stay away from the grid border.
         field = gaussian_field(geom, 8e-6)
         with pytest.raises(SamplingError):
-            propagate_chain(field, alice_chain(Basis.F, geom))
+            propagate_chain(field, arm_chain("alice", Basis.F, geom))
 
 
 class TestAnalyticEquivalence:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from scipy import stats as sps
 
 from spatialqkd.adversary import AdversarySpec
-from spatialqkd.config import ExperimentConfig, SessionParams
-from spatialqkd.optics import Basis, BasisConfig
-from spatialqkd.protocol import (BATCH_SIZE, NoiseModel, RoundRecord,
-                                 SiftedPair, alice_prepare, bob_measure,
-                                 estimate_error, flatten_key, run_session,
-                                 sift, _measure_batch)
-from spatialqkd.alphabet import SourceDistribution
+from spatialqkd.config import ConfigError, ExperimentConfig, SessionParams
+from spatialqkd.optics import BASIS_BY_CODE, Basis
+from spatialqkd.protocol import (BATCH_SIZE, NoiseModel, run_session,
+                                 _estimate_from_arrays, _flatten_mask,
+                                 _measure_batch)
+
+F = BASIS_BY_CODE.index(Basis.F)
+I = BASIS_BY_CODE.index(Basis.I)
 
 
 def make_config(**session_kwargs):
@@ -20,6 +22,14 @@ def make_config(**session_kwargs):
     session_kwargs.setdefault("keep_log", True)
     return ExperimentConfig(noise=noise, adversary=adversary,
                             session=SessionParams(**session_kwargs))
+
+
+def measure(model, rng, char, prep, bob, m, noise=NoiseModel()):
+    """``m`` photons of one character through ``_measure_batch``."""
+    idx = np.full(m, model.alphabet.index_of(char))
+    out = _measure_batch(rng, np.full(m, prep, np.int8), idx,
+                         np.full(m, bob, np.int8), model, noise)
+    return out, idx
 
 
 class TestNoiseModel:
@@ -38,36 +48,26 @@ class TestNoiseModel:
 
 
 class TestPrepareAndMeasure:
-    def test_alice_prepare_draws(self, source37):
-        rng = np.random.default_rng(3)
-        draws = [alice_prepare(rng, source37) for _ in range(2000)]
-        bases = [b for b, _ in draws]
-        n_f = sum(b is Basis.F for b in bases)
+    def test_alice_prepare_draws(self):
+        cfg = make_config(rounds=2000, seed=3)
+        log = run_session(cfg).log
+        n_f = int((log.alice_basis == F).sum())
         assert abs(n_f - 1000) < 5 * np.sqrt(2000 * 0.25)
-        n_center = sum(c == "0" for _, c in draws)
-        p0 = source37.probabilities[0]
+        n_center = int((log.sent == log.labels.index("0")).sum())
+        p0 = cfg.build_model().source().probabilities[0]
         assert abs(n_center - 2000 * p0) < 5 * np.sqrt(2000 * p0 * (1 - p0))
 
     def test_bob_measure_matched_mostly_correct(self, model37):
-        rng = np.random.default_rng(4)
-        wrong = 0
-        for _ in range(300):
-            got = bob_measure(rng, "7", Basis.F, Basis.F, model37)
-            wrong += got != "7"
-        assert wrong <= 6  # leakage rate is about 1.5e-3
+        out, idx = measure(model37, np.random.default_rng(4), "7", F, F, 300)
+        assert (out != idx).sum() <= 6  # leakage rate is about 1.5e-3
 
     def test_bob_measure_imaging_pair_undoes_inversion(self, model37):
-        rng = np.random.default_rng(5)
-        results = {bob_measure(rng, "1", Basis.I, Basis.I, model37)
-                   for _ in range(50)}
-        assert results == {"1"}
+        out, idx = measure(model37, np.random.default_rng(5), "1", I, I, 50)
+        assert np.array_equal(out, idx)
 
     def test_crossed_measurement_uninformative(self, model37):
-        rng = np.random.default_rng(6)
-        got = [bob_measure(rng, "0", Basis.I, Basis.F, model37)
-               for _ in range(400)]
-        frac_correct = sum(g == "0" for g in got) / len(got)
-        assert frac_correct < 0.2  # envelope mass at the center cell is 9.4%
+        out, idx = measure(model37, np.random.default_rng(6), "0", I, F, 400)
+        assert (out == idx).mean() < 0.2  # envelope mass at the center is 9.4%
 
     def test_matched_wrong_count_within_binomial_band(self, model37):
         rng = np.random.default_rng(20)
@@ -129,108 +129,114 @@ class TestPrepareAndMeasure:
 
 
 class TestSift:
-    def test_hand_built_records(self):
-        records = [
-            RoundRecord(0, Basis.F, Basis.F, "0", "0"),
-            RoundRecord(1, Basis.F, Basis.I, "0", "5"),
-            RoundRecord(2, Basis.I, Basis.I, "1", None),
-            RoundRecord(3, Basis.I, Basis.I, "1", "4"),
-        ]
-        pairs = sift(records)
-        assert len(pairs) == 2
-        assert pairs[0].config.label == "FF" and pairs[0].received == "0"
-        assert pairs[1].config.label == "II" and pairs[1].sent == "1"
+    def test_session_sift_matches_log(self):
+        """Matched-basis rounds with a detection, and only those, are
+        sifted, and each is estimated under its own configuration."""
+        res = run_session(make_config(
+            rounds=6_000, seed=61, sample_fraction=1.0,
+            noise=NoiseModel(loss_prob=0.3),
+            adversary=AdversarySpec(strategy="intercept_resend", eta=0.5)))
+        log = res.log
+        mask = (log.alice_basis == log.bob_basis) & (log.received >= 0)
+        assert (log.received < 0).any()
+        assert (log.alice_basis != log.bob_basis).any()
+        assert res.stats.sifted == mask.sum()
+        for key, code in (("FF", F), ("II", I)):
+            rows = mask & (log.alice_basis == code)
+            assert np.array_equal(res.estimate.counts[key],
+                                  np.bincount(log.sent[rows], minlength=37))
+        assert res.estimate.sample_size == mask.sum()
 
 
 class TestEstimate:
     @staticmethod
-    def synthetic_pairs(n, wrong_every):
-        ff = BasisConfig.from_label("FF")
-        return [SiftedPair(ff, "0", "1" if i % wrong_every == 0 else "0")
-                for i in range(n)]
+    def synthetic(n, wrong_every):
+        """``n`` sifted FF pairs of character 0, every ``wrong_every``-th
+        received as character 1."""
+        code = np.full(n, F, dtype=np.int8)
+        sent = np.zeros(n, dtype=np.int64)
+        received = np.where(np.arange(n) % wrong_every == 0, 1, 0)
+        return code, sent, received, ("0", "1")
+
+    def estimate(self, n, wrong_every, fraction, seed=0):
+        return _estimate_from_arrays(np.random.default_rng(seed),
+                                     *self.synthetic(n, wrong_every), fraction)
 
     def test_full_sample_exact_rate(self):
-        pairs = self.synthetic_pairs(200, 10)
-        est, rest = estimate_error(pairs, sample_fraction=1.0)
+        est, keep = self.estimate(200, 10, 1.0)
         assert est.sample_size == 200
-        assert rest == []
+        assert not keep.any()
         assert est.average == pytest.approx(0.1)
         assert est.rate("FF", "0") == pytest.approx(0.1)
         assert np.isnan(est.rate("II", "0"))
 
     def test_partial_sample_disjoint(self):
-        pairs = self.synthetic_pairs(400, 4)
-        rng = np.random.default_rng(12)
-        est, rest = estimate_error(pairs, sample_fraction=0.5, rng=rng)
+        est, keep = self.estimate(400, 4, 0.5, seed=12)
         assert est.sample_size == 200
-        assert len(rest) == 200
+        assert keep.sum() == 200
         assert est.average == pytest.approx(0.25, abs=0.12)
 
     def test_low_confidence_flag(self):
-        est_small, _ = estimate_error(self.synthetic_pairs(20, 5),
-                                      sample_fraction=1.0)
+        est_small, _ = self.estimate(20, 5, 1.0)
         assert est_small.low_confidence
-        est_big, _ = estimate_error(self.synthetic_pairs(80, 5),
-                                    sample_fraction=1.0)
+        est_big, _ = self.estimate(80, 5, 1.0)
         # 80 samples of one character in FF still leaves II unsampled.
         assert est_big.low_confidence
 
     def test_empty_pairs(self):
-        est, rest = estimate_error([], sample_fraction=0.5)
+        empty = np.empty(0, np.int64)
+        est, keep = _estimate_from_arrays(np.random.default_rng(0),
+                                          np.empty(0, np.int8), empty, empty,
+                                          ("0", "1"), 0.5)
         assert est.sample_size == 0
-        assert rest == []
+        assert keep.shape == (0,)
         assert np.isnan(est.average)
         assert est.as_dict()["average"] is None
 
     def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            estimate_error(self.synthetic_pairs(10, 2), sample_fraction=0.0)
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ConfigError):
+                make_config(sample_fraction=fraction)
 
 
 class TestFlatten:
     def test_uniform_source_keeps_all(self):
-        source = SourceDistribution.uniform(("a", "b", "c"))
-        chars = ["a", "b", "c", "a"] * 50
-        kept, mask = flatten_key(chars, source, np.random.default_rng(1))
-        assert kept == chars
-        assert mask.all()
+        idx = np.tile([0, 1, 2, 0], 50)
+        tape = np.random.default_rng(1).random(idx.shape[0])
+        assert _flatten_mask(tape, idx, np.full(3, 1 / 3)).all()
 
-    def test_minimal_char_never_dropped(self, source37, probs37):
-        rare = source37.labels[int(np.argmin(probs37))]
-        chars = [rare] * 5000
-        kept, mask = flatten_key(chars, source37, np.random.default_rng(2))
-        assert len(kept) == 5000
-        assert mask.all()
+    def test_minimal_char_never_dropped(self, probs37):
+        idx = np.full(5000, np.argmin(probs37))
+        tape = np.random.default_rng(2).random(5000)
+        assert _flatten_mask(tape, idx, probs37).all()
 
-    def test_expected_keep_fraction(self, source37, probs37):
-        rng = np.random.default_rng(13)
-        draws = rng.choice(37, size=40_000, p=probs37)
-        chars = [source37.labels[i] for i in draws]
-        kept, _ = flatten_key(chars, source37, np.random.default_rng(14))
+    def test_expected_keep_fraction(self, probs37):
+        draws = np.random.default_rng(13).choice(37, size=40_000, p=probs37)
+        tape = np.random.default_rng(14).random(draws.shape[0])
+        frac = _flatten_mask(tape, draws, probs37).mean()
         expect = 37 * probs37.min()
-        frac = len(kept) / len(chars)
         assert abs(frac - expect) < 5 * np.sqrt(expect * (1 - expect) / 4e4)
 
-    def test_flattened_counts_uniform(self, source37, probs37):
-        rng = np.random.default_rng(15)
-        draws = rng.choice(37, size=60_000, p=probs37)
-        chars = [source37.labels[i] for i in draws]
-        kept, _ = flatten_key(chars, source37, np.random.default_rng(16))
-        counts = np.bincount([source37.labels.index(c) for c in kept],
-                             minlength=37)
-        result = sps.chisquare(counts)
+    def test_flattened_counts_uniform(self, probs37):
+        draws = np.random.default_rng(15).choice(37, size=60_000, p=probs37)
+        tape = np.random.default_rng(16).random(draws.shape[0])
+        kept = draws[_flatten_mask(tape, draws, probs37)]
+        result = sps.chisquare(np.bincount(kept, minlength=37))
         assert result[1] > 0.01
 
-    def test_shared_tape_alignment(self, source37, probs37):
+    def test_shared_tape_alignment(self, probs37):
+        """Both parties thin their streams with one tape, so they keep or
+        drop every position where their characters agree together."""
         rng = np.random.default_rng(17)
-        draws = rng.choice(37, size=500, p=probs37)
-        chars = [source37.labels[i] for i in draws]
-        kept_a, mask_a = flatten_key(chars, source37,
-                                     np.random.default_rng(18))
-        kept_b, mask_b = flatten_key(chars, source37,
-                                     np.random.default_rng(18))
-        assert kept_a == kept_b
-        assert np.array_equal(mask_a, mask_b)
+        alice = rng.choice(37, size=500, p=probs37)
+        bob = alice.copy()
+        bob[::7] = rng.integers(0, 37, bob[::7].shape[0])
+        tape = np.random.default_rng(18).random(500)
+        keep_a = _flatten_mask(tape, alice, probs37)
+        keep_b = _flatten_mask(tape, bob, probs37)
+        same = alice == bob
+        assert np.array_equal(keep_a[same], keep_b[same])
+        assert 0 < keep_a.sum() < 500
 
 
 class TestRunSession:
@@ -254,7 +260,9 @@ class TestRunSession:
         parsed = json.loads(st.to_json())
         assert parsed["rounds"] == 40_000
         assert len(res.log) == 40_000
-        assert len(sift(res.log)) == st.sifted
+        log = res.log
+        assert ((log.alice_basis == log.bob_basis)
+                & (log.received >= 0)).sum() == st.sifted
         assert res.estimate is st.error
 
     def test_deterministic(self):
@@ -351,16 +359,28 @@ class TestSessionLog:
         res = run_session(make_config(
             rounds=500, seed=53,
             adversary=AdversarySpec(strategy="intercept_resend", eta=0.5)))
+        log = res.log
         path = tmp_path / "rounds.csv"
-        res.log.to_csv(path)
+        log.to_csv(path)
         lines = path.read_text().splitlines()
         assert len(lines) == 501
         assert lines[0] == ("round,alice_basis,bob_basis,sent,received,"
                             "attacked,eve_basis,eve_measured,eve_dropped")
-        rec = res.log.record(0)
-        assert isinstance(rec, RoundRecord)
-        untouched = [r for r in res.log if not r.attacked]
-        assert all(r.eve_basis is None and r.eve_measured is None
-                   for r in untouched)
-        attacked = [r for r in res.log if r.attacked]
-        assert attacked and all(r.eve_measured is not None for r in attacked)
+        rows = list(csv.DictReader(lines))
+        labels = log.labels
+        for i, row in enumerate(rows):
+            assert row["round"] == str(i)
+            assert row["alice_basis"] == BASIS_BY_CODE[log.alice_basis[i]].value
+            assert row["bob_basis"] == BASIS_BY_CODE[log.bob_basis[i]].value
+            assert row["sent"] == labels[log.sent[i]]
+            r = log.received[i]
+            assert row["received"] == (labels[r] if r >= 0 else "")
+            assert row["eve_dropped"] == "0"
+        untouched = [r for r in rows if r["attacked"] == "0"]
+        assert untouched and all(r["eve_basis"] == r["eve_measured"] == ""
+                                 for r in untouched)
+        attacked = [r for r in rows if r["attacked"] == "1"]
+        assert attacked and all(r["eve_basis"] in ("I", "F")
+                                and r["eve_measured"] in labels
+                                for r in attacked)
+        assert len(attacked) == log.attacked.sum()
