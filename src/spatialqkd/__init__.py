@@ -10,7 +10,7 @@ intercept-resend attacker, and the Shannon-information security balance.
 from .adversary import AdversarySpec
 from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
                        bin_probabilities, build_hex_alphabet,
-                       build_packed_alphabet, calibrate_envelope, decode,
+                       build_packed_alphabet, calibrate_envelope,
                        leakage_check, prune_alphabet, source_from_conjugate)
 from .config import AlphabetParams, ConfigError, ExperimentConfig, SessionParams
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, info_ab, info_eve,
@@ -35,7 +35,7 @@ __all__ = [
     "ProbabilityMap", "SamplingError", "SessionParams", "SessionStats",
     "SourceDistribution", "analytic_amplitude", "angular_spectrum",
     "bin_probabilities", "build_hex_alphabet", "build_packed_alphabet",
-    "calibrate_envelope", "decode", "detection_probability_map",
+    "calibrate_envelope", "detection_probability_map",
     "envelope_distribution", "full_chain", "info_ab", "info_eve",
     "leakage_check", "make_aperture_field", "mutual_information_exact",
     "point_inverted", "propagate_chain", "prune_alphabet", "run_session",

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._csv import code_fields, flag_fields, row_blocks, write_csv
 from .optics import BASIS_BY_CODE
 
 if TYPE_CHECKING:
@@ -39,12 +40,8 @@ __all__ = [
 
 STRATEGIES = ("none", "intercept_resend", "suppress_on_evidence")
 
-#: Rows per write in the CSV exports; bounds their transient memory.
-_CSV_BLOCK = 4096
-
-#: CSV field per basis code, with the empty field at code -1.
-_BASIS_FIELDS = np.array([b.value for b in BASIS_BY_CODE] + [""], dtype=object)
-_FLAG_FIELDS = np.array(["0", "1"], dtype=object)
+#: CSV field per basis code.
+_BASIS_FIELDS = code_fields(b.value for b in BASIS_BY_CODE)
 
 
 @dataclass(frozen=True)
@@ -166,27 +163,13 @@ def eve_information_estimate(matched: np.ndarray, measured_idx: np.ndarray,
     return hits.size / n * entropy
 
 
-def _write_csv(path, header: str, n: int, block_fields) -> None:
-    """Write ``n`` CSV rows, a block of rows at a time.
-
-    ``block_fields(block)`` returns the columns of the rows in slice
-    ``block`` as arrays of field strings.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header)
-        for start in range(0, n, _CSV_BLOCK):
-            fields = block_fields(slice(start, start + _CSV_BLOCK))
-            rows = zip(*[f.tolist() for f in fields])
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
-
-
 def eve_log_to_csv(path, round_index: np.ndarray, basis_code: np.ndarray,
                    measured_idx: np.ndarray, dropped: np.ndarray,
                    labels: tuple[str, ...]) -> None:
-    """Write the attacker's records: round, basis, measured char, dropped."""
-    chars = np.array(labels, dtype=object)
-    _write_csv(path, "round,basis,measured_char,dropped\n",
-               round_index.shape[0], lambda b: (
-                   round_index[b].astype(str), _BASIS_FIELDS[basis_code[b]],
-                   chars[measured_idx[b]],
-                   _FLAG_FIELDS[dropped[b].astype(np.int8)]))
+    """Write the attacker's records: round, basis, measured char, dropped;
+    row ``i`` of every column describes round ``round_index[i]``."""
+    chars = code_fields(labels)
+    write_csv(path, ("round", "basis", "measured_char", "dropped"),
+              ((round_index[b].astype(str), _BASIS_FIELDS[basis_code[b]],
+                chars[measured_idx[b]], flag_fields(dropped[b]))
+               for b in row_blocks(round_index.shape[0])))

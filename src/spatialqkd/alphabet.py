@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .optics import ALL_CONFIGS, Basis, BasisConfig, IntensityMap, hexagon_mask
+from ._csv import float_fields, write_csv
+from .optics import ALL_CONFIGS, BasisConfig, IntensityMap, hexagon_mask
 
 __all__ = [
     "HexAlphabet",
@@ -26,7 +27,6 @@ __all__ = [
     "build_hex_alphabet",
     "build_packed_alphabet",
     "calibrate_envelope",
-    "decode",
     "bin_probabilities",
     "source_from_conjugate",
     "leakage_check",
@@ -317,20 +317,6 @@ def calibrate_envelope(alphabet: HexAlphabet, containment: float = 0.99) -> floa
     return float(radius * np.sqrt(2.0 / -np.log1p(-containment)))
 
 
-def decode(position, config: BasisConfig, alphabet: HexAlphabet) -> str | None:
-    """Map a detection-plane position to a character, or None if undetected.
-
-    Decoders behind a two-lens imaging arm see a point-inverted plane, so the
-    position is negated before lookup whenever Bob measured in the imaging
-    basis.  Positions outside every cell count as no detection.
-    """
-    pos = np.asarray(position, dtype=np.float64).reshape(1, 2)
-    if config.bob == Basis.I:
-        pos = -pos
-    idx, inside = alphabet.nearest_cell(pos)
-    return alphabet.labels[int(idx[0])] if bool(inside[0]) else None
-
-
 @dataclass(frozen=True, eq=False)
 class SourceDistribution:
     """Probability of each character at the source."""
@@ -415,15 +401,15 @@ class ProbabilityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Rows ``config,sent_char,cell_char,probability``; the row with
         cell char ``(residual)`` holds the outside-all-cells probability."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("config,sent_char,cell_char,probability\n")
-            for cfg in ALL_CONFIGS:
-                p = self.probs[cfg.label]
-                r = self.residual[cfg.label]
-                for s, sent in enumerate(self.source_labels):
-                    for c, cell in enumerate(self.cell_labels):
-                        fh.write(f"{cfg.label},{sent},{cell},{p[s, c]:.12e}\n")
-                    fh.write(f"{cfg.label},{sent},(residual),{r[s]:.12e}\n")
+        cells = np.array(self.cell_labels + ("(residual)",), dtype=object)
+        # One block per configuration and source: its cells, then residual.
+        write_csv(path, ("config", "sent_char", "cell_char", "probability"),
+                  ((np.full(cells.size, cfg.label, dtype=object),
+                    np.full(cells.size, sent, dtype=object), cells,
+                    float_fields(np.append(self.probs[cfg.label][s],
+                                           self.residual[cfg.label][s])))
+                   for cfg in ALL_CONFIGS
+                   for s, sent in enumerate(self.source_labels)))
 
 
 def _classify_points(points: np.ndarray, alphabet: HexAlphabet,

@@ -152,17 +152,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fh.write("\n".join(key))
             if key:
                 fh.write("\n")
-    if result.eve_rounds is not None and result.eve_rounds["round_index"].size:
-        eve_log_to_csv(os.path.join(out, "eve_records.csv"),
-                       result.eve_rounds["round_index"],
-                       result.eve_rounds["basis_code"],
-                       result.eve_rounds["measured_idx"],
-                       result.eve_rounds["dropped"],
-                       cfg.build_alphabet().labels)
+    log = result.log
+    if log is not None and log.attacked.any():
+        rounds = np.flatnonzero(log.attacked)
+        eve_log_to_csv(os.path.join(out, "eve_records.csv"), rounds,
+                       log.eve_basis[rounds], log.eve_measured[rounds],
+                       log.eve_dropped[rounds], log.labels)
     if args.round_log:
-        if result.log is None:
+        if log is None:
             raise ConfigError("round log requested but keep_log is disabled")
-        result.log.to_csv(os.path.join(out, "rounds.csv"))
+        log.to_csv(os.path.join(out, "rounds.csv"))
 
     avg = stats.error.average
     avg_text = f"{avg:.4f}" if stats.error.sample_size else "n/a"

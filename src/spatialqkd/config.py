@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,10 +40,12 @@ class AlphabetParams:
     cell_radius: float = 200e-6
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rings, int) or self.rings < 0:
+        # Not isinstance: bool is an int subclass, and True is no count.
+        if type(self.rings) is not int or self.rings < 0:
             raise ConfigError(f"rings must be a non-negative integer, "
                               f"got {self.rings!r}")
-        if not (self.cell_radius > 0 and np.isfinite(self.cell_radius)):
+        if isinstance(self.cell_radius, bool) or not (
+                self.cell_radius > 0 and np.isfinite(self.cell_radius)):
             raise ConfigError(
                 f"cell_radius must be positive, got {self.cell_radius!r}")
 
@@ -61,13 +63,16 @@ class SessionParams:
     def __post_init__(self) -> None:
         for name in ("rounds", "seed"):
             value = getattr(self, name)
-            # Not isinstance: bool is an int subclass, and True is no count.
             if type(value) is not int or value < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, "
                                   f"got {value!r}")
-        if not 0.0 < self.sample_fraction <= 1.0:
+        if isinstance(self.sample_fraction, bool) or not (
+                0.0 < self.sample_fraction <= 1.0):
             raise ConfigError(f"sample_fraction must be in (0, 1], "
                               f"got {self.sample_fraction!r}")
+        if not isinstance(self.keep_log, bool):
+            raise ConfigError(f"keep_log must be a boolean, "
+                              f"got {self.keep_log!r}")
         if self.source not in ("model", "uniform"):
             raise ConfigError(f"source must be 'model' or 'uniform', "
                               f"got {self.source!r}")
@@ -153,17 +158,26 @@ class ExperimentConfig:
             section = data.get(name, {})
             if not isinstance(section, dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            fields = {f.name for f in section_cls.__dataclass_fields__.values()} \
-                if hasattr(section_cls, "__dataclass_fields__") else set()
-            bad = set(section) - fields
+            defaults = {f.name: f.default for f in fields(section_cls)}
+            bad = set(section) - set(defaults)
             if bad:
                 raise ConfigError(
                     f"unknown keys in section {name!r}: {', '.join(sorted(bad))}")
+            # JSON true/false is accepted only where the default is a bool.
+            flags = [key for key, value in section.items()
+                     if isinstance(value, bool)
+                     and not isinstance(defaults[key], bool)]
+            if flags:
+                raise ConfigError(
+                    f"invalid section {name!r}: {', '.join(sorted(flags))} "
+                    f"must not be a boolean")
             try:
                 kwargs[name] = section_cls(**section)
             except (TypeError, ValueError, GeometryError) as exc:
                 raise ConfigError(f"invalid section {name!r}: {exc}") from exc
         waist = data.get("envelope_waist")
+        if isinstance(waist, bool):
+            raise ConfigError("envelope_waist must not be a boolean")
         kwargs["envelope_waist"] = None if waist is None else float(waist)
         return cls(**kwargs)
 

@@ -20,6 +20,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._csv import float_fields, row_blocks, write_csv
+
 __all__ = [
     "Basis",
     "BasisConfig",
@@ -298,12 +300,10 @@ class IntensityMap:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write rows ``row,col,value`` where row indexes x and col indexes y."""
-        n = self.n
-        rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        table = np.column_stack(
-            [rows.ravel(), cols.ravel(), self.values.ravel()])
-        np.savetxt(path, table, fmt=("%d", "%d", "%.12e"),
-                   delimiter=",", header="row,col,value", comments="")
+        n, flat = self.n, self.values.ravel()
+        write_csv(path, ("row", "col", "value"),
+                  (((k // n).astype(str), (k % n).astype(str),
+                    float_fields(flat[k])) for k in row_blocks(flat.size)))
 
     def to_pgm(self, path: str | os.PathLike) -> None:
         """Write an 8-bit binary PGM image, linearly scaled to the map peak."""

@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .adversary import (_BASIS_FIELDS, _FLAG_FIELDS, _write_csv, attack_batch,
-                        eve_information_estimate)
+from ._csv import code_fields, flag_fields, row_blocks, write_csv
+from .adversary import attack_batch, eve_information_estimate
 from .alphabet import SourceDistribution
 from .model import GaussianModel
-from .optics import BasisConfig
+from .optics import BASIS_BY_CODE, BasisConfig
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -50,6 +50,9 @@ MIN_SAMPLES_PER_CHAR = 30
 
 _ESTIMATE_STREAM = 0x5E1F
 _FLATTEN_STREAM = 0xF1A7
+
+#: CSV field per basis code, with the empty field at code -1.
+_BASIS_FIELDS = code_fields(b.value for b in BASIS_BY_CODE)
 
 
 @dataclass(frozen=True)
@@ -107,22 +110,22 @@ class SessionLog:
         return self.sent.shape[0]
 
     def to_csv(self, path) -> None:
-        chars = np.array(self.labels + ("",), dtype=object)
+        chars = code_fields(self.labels)
 
-        def fields(b: slice):
+        def fields(b: np.ndarray):
             hit = self.attacked[b]
-            return (np.arange(b.start, b.start + hit.shape[0]).astype(str),
-                    _BASIS_FIELDS[self.alice_basis[b]],
+            return (b.astype(str), _BASIS_FIELDS[self.alice_basis[b]],
                     _BASIS_FIELDS[self.bob_basis[b]],
                     chars[self.sent[b]], chars[self.received[b]],
-                    _FLAG_FIELDS[hit.astype(np.int8)],
+                    flag_fields(hit),
                     _BASIS_FIELDS[np.where(hit, self.eve_basis[b], -1)],
                     chars[np.where(hit, self.eve_measured[b], -1)],
-                    _FLAG_FIELDS[self.eve_dropped[b].astype(np.int8)])
+                    flag_fields(self.eve_dropped[b]))
 
-        _write_csv(path, "round,alice_basis,bob_basis,sent,received,"
-                   "attacked,eve_basis,eve_measured,eve_dropped\n",
-                   len(self), fields)
+        write_csv(path, ("round", "alice_basis", "bob_basis", "sent",
+                         "received", "attacked", "eve_basis", "eve_measured",
+                         "eve_dropped"),
+                  (fields(b) for b in row_blocks(len(self))))
 
 
 def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
@@ -300,14 +303,14 @@ class SessionStats:
 
 @dataclass(eq=False)
 class SessionResult:
-    """Everything a session produces."""
+    """Everything a session produces.  The error estimate is ``stats.error``;
+    ``log``, kept when ``keep_log`` is set, is the one source of the
+    attacker's records, on the rounds ``np.flatnonzero(log.attacked)``."""
 
     stats: SessionStats
-    estimate: ErrorEstimate
     alice_key: list[str]
     bob_key: list[str]
     log: SessionLog | None
-    eve_rounds: dict[str, np.ndarray] | None
 
 
 def run_session(config: "ExperimentConfig") -> SessionResult:
@@ -330,49 +333,34 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     seed = config.session.seed
     d = alphabet.d
 
-    cols: dict[str, list[np.ndarray]] = {key: [] for key in (
-        "a_basis", "b_basis", "sent", "received",
-        "attacked", "e_basis", "e_measured", "e_dropped")}
+    # Each round column is allocated once, typed, and filled batch by batch.
+    log = SessionLog(
+        labels=alphabet.labels,
+        alice_basis=np.empty(n, np.int8), bob_basis=np.empty(n, np.int8),
+        sent=np.empty(n, np.int64), received=np.empty(n, np.int64),
+        attacked=np.empty(n, bool), eve_basis=np.empty(n, np.int8),
+        eve_measured=np.empty(n, np.int64), eve_dropped=np.empty(n, bool))
     for batch_index, start in enumerate(range(0, n, BATCH_SIZE)):
-        m = min(BATCH_SIZE, n - start)
+        b = slice(start, min(start + BATCH_SIZE, n))
+        m = b.stop - start
         rng = np.random.default_rng([seed, batch_index])
-        a_basis = rng.integers(0, 2, m).astype(np.int8)
-        a_idx = rng.choice(d, size=m, p=probs).astype(np.int64)
+        a_basis = log.alice_basis[b] = rng.integers(0, 2, m).astype(np.int8)
+        a_idx = log.sent[b] = rng.choice(d, size=m, p=probs)
         atk = attack_batch(rng, a_basis, a_idx, model, adv)
+        log.attacked[b], log.eve_basis[b] = atk.attacked, atk.basis_code
+        log.eve_measured[b], log.eve_dropped[b] = atk.measured_idx, atk.dropped
         prep_idx = np.where(atk.attacked, atk.measured_idx, a_idx)
         prep_basis = np.where(atk.attacked, atk.basis_code, a_basis).astype(np.int8)
-        b_basis = rng.integers(0, 2, m).astype(np.int8)
-        present = ~(atk.attacked & atk.dropped)
-        received = _measure_batch(rng, prep_basis, prep_idx, b_basis, model,
-                                  noise, present=present)
-        cols["a_basis"].append(a_basis)
-        cols["b_basis"].append(b_basis)
-        cols["sent"].append(a_idx)
-        cols["received"].append(received)
-        cols["attacked"].append(atk.attacked)
-        cols["e_basis"].append(atk.basis_code)
-        cols["e_measured"].append(atk.measured_idx)
-        cols["e_dropped"].append(atk.dropped)
+        b_basis = log.bob_basis[b] = rng.integers(0, 2, m).astype(np.int8)
+        log.received[b] = _measure_batch(rng, prep_basis, prep_idx, b_basis,
+                                         model, noise,
+                                         present=~(atk.attacked & atk.dropped))
 
-    def col(key: str, dtype) -> np.ndarray:
-        if not cols[key]:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(cols[key]).astype(dtype)
-
-    a_basis = col("a_basis", np.int8)
-    b_basis = col("b_basis", np.int8)
-    sent = col("sent", np.int64)
-    received = col("received", np.int64)
-    attacked = col("attacked", bool)
-    e_basis = col("e_basis", np.int8)
-    e_measured = col("e_measured", np.int64)
-    e_dropped = col("e_dropped", bool)
-
-    detected = received >= 0
-    sift_mask = (a_basis == b_basis) & detected
-    s_code = a_basis[sift_mask]
-    s_sent = sent[sift_mask]
-    s_recv = received[sift_mask]
+    detected = log.received >= 0
+    sift_mask = (log.alice_basis == log.bob_basis) & detected
+    s_code = log.alice_basis[sift_mask]
+    s_sent = log.sent[sift_mask]
+    s_recv = log.received[sift_mask]
 
     est_rng = np.random.default_rng([seed, _ESTIMATE_STREAM])
     estimate, keep = _estimate_from_arrays(
@@ -388,11 +376,11 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     alice_key = [alphabet.labels[i] for i in r_sent[keep_a]]
     bob_key = [alphabet.labels[i] for i in r_recv[keep_b]]
 
-    matched_mask = attacked & (e_basis == a_basis)
-    n_attacked = int(attacked.sum())
+    attacked = log.attacked
+    matched_mask = attacked & (log.eve_basis == log.alice_basis)
     eve_bits = eve_information_estimate(matched_mask[attacked],
-                                        e_measured[attacked], d)
-    hist = np.bincount(sent, minlength=d)
+                                        log.eve_measured[attacked], d)
+    hist = np.bincount(log.sent, minlength=d)
     n_detected = int(detected.sum())
     n_sifted = int(sift_mask.sum())
 
@@ -408,8 +396,8 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
         sifted_fraction=n_sifted / n_detected if n_detected else 0.0,
         sent_histogram={lab: int(c) for lab, c in zip(alphabet.labels, hist)},
         error=estimate,
-        eve_attacked=n_attacked,
-        eve_dropped=int(e_dropped.sum()),
+        eve_attacked=int(attacked.sum()),
+        eve_dropped=int(log.eve_dropped.sum()),
         eve_matched=int(matched_mask.sum()),
         eve_info_bits=eve_bits,
         key_alice_length=len(alice_key),
@@ -418,19 +406,5 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
         key_expected_keep=float(d * probs.min()),
     )
 
-    log = None
-    eve_rounds = None
-    if config.session.keep_log:
-        log = SessionLog(labels=alphabet.labels, alice_basis=a_basis,
-                         bob_basis=b_basis, sent=sent, received=received,
-                         attacked=attacked, eve_basis=e_basis,
-                         eve_measured=e_measured, eve_dropped=e_dropped)
-        where = np.nonzero(attacked)[0]
-        eve_rounds = {
-            "round_index": where,
-            "basis_code": e_basis[where],
-            "measured_idx": e_measured[where],
-            "dropped": e_dropped[where],
-        }
-    return SessionResult(stats=stats, estimate=estimate, alice_key=alice_key,
-                         bob_key=bob_key, log=log, eve_rounds=eve_rounds)
+    return SessionResult(stats=stats, alice_key=alice_key, bob_key=bob_key,
+                         log=log if config.session.keep_log else None)

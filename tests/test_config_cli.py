@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from spatialqkd.adversary import AdversarySpec
-from spatialqkd.alphabet import calibrate_envelope
+from spatialqkd.alphabet import build_hex_alphabet, calibrate_envelope
 from spatialqkd.cli import main
 from spatialqkd.config import (AlphabetParams, ConfigError, ExperimentConfig,
                                SessionParams)
+from spatialqkd.model import GaussianModel
 from spatialqkd.optics import Geometry
 from spatialqkd.protocol import NoiseModel
 
@@ -29,11 +30,27 @@ class TestConfigValidation:
             SessionParams(source="laplace")
         with pytest.raises(ConfigError):
             SessionParams(rounds=-5)
-        for flags in ({"rounds": True}, {"seed": False}):
+        for flags in ({"rounds": True}, {"seed": False},
+                      {"sample_fraction": True}, {"keep_log": 0},
+                      {"keep_log": "yes"}):
             with pytest.raises(ConfigError):
                 SessionParams(**flags)
+        for flags in ({"rings": True}, {"cell_radius": True}):
+            with pytest.raises(ConfigError):
+                AlphabetParams(**flags)
         with pytest.raises(ConfigError, match="rounds"):
             ExperimentConfig.from_json('{"session": {"rounds": true}}')
+        for section, key in (("alphabet", "rings"), ("alphabet", "cell_radius"),
+                             ("session", "sample_fraction"),
+                             ("noise", "loss_prob"), ("adversary", "eta"),
+                             ("adversary", "strategy"),
+                             ("geometry", "grid_samples")):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict({section: {key: True}})
+        with pytest.raises(ConfigError, match="envelope_waist"):
+            ExperimentConfig.from_dict({"envelope_waist": False})
+        cfg = ExperimentConfig.from_json('{"session": {"keep_log": false}}')
+        assert cfg.session.keep_log is False
 
     def test_coarse_grid_reports_both_problems(self):
         cfg = ExperimentConfig(geometry=Geometry(grid_samples=64))
@@ -206,6 +223,31 @@ class TestCliMaps:
         assert (out / "map_IF_7.pgm").read_bytes().startswith(b"P5")
         printed = capsys.readouterr().out
         assert "matched-basis detection probability 0.998" in printed
+
+    def test_table_and_map_bytes_are_pinned(self, tmp_path):
+        """Byte-exact probability table and intensity maps of the default
+        configuration, plus the table of a detection region wider than the
+        source alphabet (more cell columns than source rows)."""
+        out = tmp_path / "maps"
+        code = main(["maps", "--out", str(out), "--char", "7",
+                     "--configs", "FF,IF", "--formats", "csv"])
+        assert code == 0
+        wide = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6),
+                             region=build_hex_alphabet(3, 200e-6))
+        wide.probability_table().to_csv(out / "wide.csv")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("probability_maps.csv", "map_FF_7.csv",
+                                "map_IF_7.csv", "wide.csv")}
+        assert digests == {
+            "probability_maps.csv": "7abe19c86f1610118c329a03b495efbb"
+                                    "515dc55692193ad336036ed8c47649d2",
+            "map_FF_7.csv": "ebb16cf84421d6f890c3080805a9b9ff"
+                            "7baded80244ff0bce7b382f6bb040607",
+            "map_IF_7.csv": "b862856de8a9938a7514624f5d4f8e40"
+                            "b119c3c34a61fb756d5e4a02db46cc23",
+            "wide.csv": "0212083e0cceeb68fb6d98d488f6d773"
+                        "2f2418348dbf6939f6656f61fd36f735",
+        }
 
     def test_unknown_char(self, tmp_path, small_config, capsys):
         code = main(["maps", "--config", small_config,
