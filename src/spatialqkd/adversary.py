@@ -56,6 +56,10 @@ class AdversarySpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        for name in ("eta", "evidence_threshold"):
+            # bool is an int subclass, and True is no fraction or threshold.
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
         if not (self.evidence_threshold >= 0

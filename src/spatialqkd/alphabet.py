@@ -17,7 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._csv import float_fields, write_csv
-from .optics import ALL_CONFIGS, BasisConfig, IntensityMap, hexagon_mask
+from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
+                     hexagon_mask)
 
 __all__ = [
     "HexAlphabet",
@@ -134,6 +135,9 @@ class HexAlphabet:
             raise ValueError("cell centers closer than one lattice spacing")
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_lattice", self._lattice_table())
+        # One grid partition, ``(key, pixel_ids, boundary, sub_ids)``; see
+        # ``_grid_partition``.
+        object.__setattr__(self, "_partition", None)
 
     def _lattice_table(self) -> tuple[np.ndarray, float, float] | None:
         """``(table, q0, r0)`` with ``table[q - q0, r - r0]`` the index of the
@@ -423,6 +427,48 @@ def _classify_points(points: np.ndarray, alphabet: HexAlphabet,
     return out
 
 
+def _grid_partition(alphabet: HexAlphabet, n: int, extent: float,
+                    subsamples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell of every pixel and boundary sub-point of one grid, cached.
+
+    Returns ``(pixel_ids, boundary, sub_ids)``: ``pixel_ids`` holds one bin
+    per pixel in flat order, the cell index plus one (bin 0 for outside all
+    cells, bin ``d + 1`` for a boundary pixel); ``boundary`` the flat indices
+    of the boundary pixels; ``sub_ids`` the bins of their
+    ``subsamples x subsamples`` sub-points, pixel by pixel.  The alphabet
+    keeps the last partition it computed, so a new grid replaces it.
+    """
+    key = (n, extent, subsamples)
+    cached = alphabet._partition
+    if cached is not None and cached[0] == key:
+        return cached[1:]
+    c = grid_coords(n, extent)
+    step = 2.0 * extent / n
+    x, y = np.meshgrid(c, c, indexing="ij")
+    pts = np.column_stack([x.ravel(), y.ravel()])
+    ids = _classify_points(pts, alphabet).reshape(n, n)
+
+    boundary = np.zeros((n, n), dtype=bool)
+    boundary[:-1, :] |= ids[:-1, :] != ids[1:, :]
+    boundary[1:, :] |= ids[1:, :] != ids[:-1, :]
+    boundary[:, :-1] |= ids[:, :-1] != ids[:, 1:]
+    boundary[:, 1:] |= ids[:, 1:] != ids[:, :-1]
+
+    pixel_ids = (ids + 1).astype(np.int32).ravel()
+    flat = np.flatnonzero(boundary)
+    pixel_ids[flat] = alphabet.d + 1
+    bi, bj = np.divmod(flat, n)
+    offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * step
+    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
+    sub = np.column_stack([
+        (c[bi][:, None] + ox.ravel()[None, :]).ravel(),
+        (c[bj][:, None] + oy.ravel()[None, :]).ravel(),
+    ])
+    sub_ids = (_classify_points(sub, alphabet) + 1).astype(np.int32)
+    object.__setattr__(alphabet, "_partition", (key, pixel_ids, flat, sub_ids))
+    return pixel_ids, flat, sub_ids
+
+
 def bin_probabilities(imap: IntensityMap, alphabet: HexAlphabet,
                       subsamples: int = 8) -> tuple[np.ndarray, float]:
     """Integrate a detection density over each cell of the alphabet.
@@ -431,39 +477,27 @@ def bin_probabilities(imap: IntensityMap, alphabet: HexAlphabet,
     pixels on a cell boundary are split by a ``subsamples x subsamples``
     subgrid.  Returns per-cell probabilities and the residual outside all
     cells; together they add up to the map integral.
+
+    Which cell each pixel and sub-point falls in depends on the grid alone.
+    The first call for a grid (``n``, ``extent``) and ``subsamples`` decodes
+    ``n**2`` pixels plus ``subsamples**2`` points per boundary pixel, and the
+    alphabet keeps that one partition.  Later calls on the same grid are
+    O(n**2) array passes over the map.
     """
-    if subsamples < 1:
-        raise ValueError("subsamples must be at least 1")
-    n, step = imap.n, imap.step
-    c = imap.coords()
-    x, y = np.meshgrid(c, c, indexing="ij")
-    pts = np.column_stack([x.ravel(), y.ravel()])
-    ids = _classify_points(pts, alphabet).reshape(n, n)
-    mass = imap.values * step ** 2
-
-    boundary = np.zeros((n, n), dtype=bool)
-    boundary[:-1, :] |= ids[:-1, :] != ids[1:, :]
-    boundary[1:, :] |= ids[1:, :] != ids[:-1, :]
-    boundary[:, :-1] |= ids[:, :-1] != ids[:, 1:]
-    boundary[:, 1:] |= ids[:, 1:] != ids[:, :-1]
-
-    acc = np.zeros(alphabet.d + 1)
-    keep = ~boundary
-    np.add.at(acc, ids[keep] + 1, mass[keep])
-
-    bi, bj = np.nonzero(boundary)
-    if bi.size:
-        offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * step
-        ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-        sub = np.column_stack([
-            (c[bi][:, None] + ox.ravel()[None, :]).ravel(),
-            (c[bj][:, None] + oy.ravel()[None, :]).ravel(),
-        ])
-        sub_ids = _classify_points(sub, alphabet).reshape(bi.size, -1)
-        weights = np.repeat(mass[bi, bj] / subsamples ** 2, subsamples ** 2)
-        np.add.at(acc, sub_ids.ravel() + 1, weights)
-
-    return acc[1:], float(acc[0])
+    # Not isinstance: bool is an int subclass, and True is no count.
+    if type(subsamples) is not int or subsamples < 1:
+        raise ValueError(
+            f"subsamples must be an integer >= 1, got {subsamples!r}")
+    pixel_ids, boundary, sub_ids = _grid_partition(
+        alphabet, imap.n, imap.extent, subsamples)
+    mass = (imap.values * imap.step ** 2).ravel()
+    # Bin d + 1 collects the boundary pixels and is dropped; their mass goes
+    # in again through the sub-points, in the same order as per pixel.
+    acc = np.zeros(alphabet.d + 2)
+    np.add.at(acc, pixel_ids, mass)
+    weights = np.repeat(mass[boundary] / subsamples ** 2, subsamples ** 2)
+    np.add.at(acc, sub_ids, weights)
+    return acc[1:-1], float(acc[0])
 
 
 def source_from_conjugate(maps: ProbabilityMap) -> SourceDistribution:

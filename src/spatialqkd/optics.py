@@ -349,17 +349,18 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
         raise GeometryError(
             f"aperture at {spec.center} with size {spec.size:g} leaves the grid "
             f"(half-extent {geom.grid_extent:g})")
-    x, y = np.meshgrid(grid_coords(geom.grid_samples, geom.grid_extent),
-                       grid_coords(geom.grid_samples, geom.grid_extent),
-                       indexing="ij")
+    c = grid_coords(geom.grid_samples, geom.grid_extent)
     if spec.shape == "gaussian":
-        rsq = (x - cx) ** 2 + (y - cy) ** 2
-        amp = np.exp(-rsq / spec.size ** 2)
-    elif spec.shape == "circular":
-        rsq = (x - cx) ** 2 + (y - cy) ** 2
-        amp = (rsq <= spec.size ** 2).astype(np.float64)
+        # Separable: the outer product of one 1-D exponential per axis.
+        amp = np.outer(np.exp(-(c - cx) ** 2 / spec.size ** 2),
+                       np.exp(-(c - cy) ** 2 / spec.size ** 2))
     else:
-        amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
+        x, y = np.meshgrid(c, c, indexing="ij")
+        if spec.shape == "circular":
+            rsq = (x - cx) ** 2 + (y - cy) ** 2
+            amp = (rsq <= spec.size ** 2).astype(np.float64)
+        else:
+            amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
     out = OpticalField(amp.astype(np.complex128), geom.grid_extent, geom.wavelength)
     if out.power <= 0:
         raise GeometryError(
@@ -481,15 +482,13 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
     f_f = geom.fourier_focal
     out_extent = geom.wavelength * f_f * geom.grid_samples / (4.0 * geom.grid_extent)
     if spec.shape == "gaussian":
-        c = grid_coords(geom.grid_samples, out_extent)
-        x, y = np.meshgrid(c, c, indexing="ij")
-        k = geom.wavenumber
-        qx, qy = k * x / f_f, k * y / f_f
+        q = geom.wavenumber * grid_coords(geom.grid_samples, out_extent) / f_f
         w = spec.size
         cx, cy = spec.center
-        amp = np.exp(-(w ** 2 / 4.0) * (qx ** 2 + qy ** 2))
-        phase = np.exp(-1j * (qx * cx + qy * cy))
-        field = OpticalField(amp * phase, out_extent, geom.wavelength)
+        # Separable: each axis carries its Gaussian factor and its tilt phase.
+        amp = np.outer(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
+                       np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy))
+        field = OpticalField(amp, out_extent, geom.wavelength)
     else:
         spectrum = angular_spectrum(make_aperture_field(spec, geom))
         field = OpticalField(spectrum.samples, out_extent, geom.wavelength)

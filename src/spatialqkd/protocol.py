@@ -71,6 +71,10 @@ class NoiseModel:
     loss_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("background_prob", "jitter_sigma", "loss_prob"):
+            # bool is an int subclass, and True is no probability or width.
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (0.0 <= self.background_prob and np.isfinite(self.background_prob)):
             raise ValueError(
                 f"background_prob must be non-negative, got {self.background_prob!r}")

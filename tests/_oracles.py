@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's quadrature and binning
 code paths: hexagon membership is a direct half-plane test and integrals are
-midpoint Riemann sums on a dense subgrid.
+midpoint Riemann sums on a dense subgrid.  The binning reference decodes
+with ``nearest_cell`` but recomputes the whole grid on every call, and the
+field references build full 2-D meshgrids.
 """
 
 import numpy as np
@@ -83,3 +85,61 @@ def nearest_center_bruteforce(points: np.ndarray, centers: np.ndarray,
                     points[:, None, 1] - centers[None, :, 1])
     tied = dist <= dist.min(axis=1, keepdims=True) + rtol * spacing
     return np.argmax(tied, axis=1)
+
+
+def bin_probabilities_reference(imap, alphabet, subsamples: int = 8):
+    """Per-call grid binning: classify every pixel, then split boundary
+    pixels by a ``subsamples x subsamples`` subgrid, for one map.
+
+    Cells come from ``alphabet.nearest_cell``; nothing is cached, so each
+    call decodes the whole grid.  Returns per-cell masses and the residual.
+    """
+    def classify(points):
+        idx, inside = alphabet.nearest_cell(points)
+        return np.where(inside, idx, -1)
+
+    n, step = imap.n, imap.step
+    c = imap.coords()
+    x, y = np.meshgrid(c, c, indexing="ij")
+    ids = classify(np.column_stack([x.ravel(), y.ravel()])).reshape(n, n)
+    mass = imap.values * step ** 2
+
+    boundary = np.zeros((n, n), dtype=bool)
+    boundary[:-1, :] |= ids[:-1, :] != ids[1:, :]
+    boundary[1:, :] |= ids[1:, :] != ids[:-1, :]
+    boundary[:, :-1] |= ids[:, :-1] != ids[:, 1:]
+    boundary[:, 1:] |= ids[:, 1:] != ids[:, :-1]
+
+    acc = np.zeros(alphabet.d + 1)
+    keep = ~boundary
+    np.add.at(acc, ids[keep] + 1, mass[keep])
+
+    bi, bj = np.nonzero(boundary)
+    if bi.size:
+        offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * step
+        ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
+        sub = np.column_stack([
+            (c[bi][:, None] + ox.ravel()[None, :]).ravel(),
+            (c[bj][:, None] + oy.ravel()[None, :]).ravel(),
+        ])
+        sub_ids = classify(sub)
+        weights = np.repeat(mass[bi, bj] / subsamples ** 2, subsamples ** 2)
+        np.add.at(acc, sub_ids + 1, weights)
+    return acc[1:], float(acc[0])
+
+
+def gaussian_aperture_2d(coords: np.ndarray, waist: float, center) -> np.ndarray:
+    """Unnormalized Gaussian aperture amplitude from the full 2-D meshgrid."""
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    return np.exp(-((x - center[0]) ** 2 + (y - center[1]) ** 2) / waist ** 2)
+
+
+def crossed_gaussian_2d(coords: np.ndarray, k: float, focal: float,
+                        waist: float, center) -> np.ndarray:
+    """Unnormalized crossed-basis amplitude of a displaced Gaussian aperture,
+    ``exp(-w**2 |q|**2 / 4) exp(-i q . c)`` at ``q = k rho / focal``, from
+    the full 2-D meshgrid."""
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    qx, qy = k * x / focal, k * y / focal
+    return (np.exp(-(waist ** 2 / 4.0) * (qx ** 2 + qy ** 2))
+            * np.exp(-1j * (qx * center[0] + qy * center[1])))

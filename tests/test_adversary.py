@@ -26,6 +26,11 @@ class TestSpec:
             AdversarySpec(strategy="intercept_resend", eta=1.5)
         with pytest.raises(ValueError):
             AdversarySpec(evidence_threshold=-1.0)
+        with pytest.raises(ValueError, match="eta"):
+            AdversarySpec("intercept_resend", eta=True)
+        with pytest.raises(ValueError, match="evidence_threshold"):
+            AdversarySpec("suppress_on_evidence", eta=0.5,
+                          evidence_threshold=True)
 
 
 class TestEvidenceScores:

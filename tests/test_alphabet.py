@@ -10,9 +10,9 @@ from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
                                  source_from_conjugate)
 from spatialqkd.model import GaussianModel, hex_vertices
 from spatialqkd.optics import (ALL_CONFIGS, BASIS_BY_CODE, BasisConfig,
-                               Geometry, hexagon_mask)
+                               Geometry, IntensityMap, hexagon_mask)
 
-from _oracles import nearest_center_bruteforce
+from _oracles import bin_probabilities_reference, nearest_center_bruteforce
 
 _BASE37 = build_hex_alphabet(3, 200e-6)
 _SHIFTED37 = HexAlphabet.from_dict(
@@ -333,6 +333,44 @@ class TestBinning:
             assert abs(residual - table.residual[config.label][idx]) < 1e-3
             assert binned.sum() + residual == pytest.approx(imap.integral(),
                                                             abs=1e-9)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_hex_alphabet(3, 200e-6),
+        lambda: prune_alphabet(build_hex_alphabet(3, 200e-6), ["1", "A"]),
+    ], ids=["d37", "pruned"])
+    def test_cached_binning_is_exact(self, build, model37, monkeypatch):
+        alph = build()
+        decoded = []
+        nearest_cell = HexAlphabet.nearest_cell
+
+        def counting(self, points):
+            decoded.append(len(points))
+            return nearest_cell(self, points)
+
+        monkeypatch.setattr(HexAlphabet, "nearest_cell", counting)
+        rng = np.random.default_rng(3)
+        ff = model37.intensity_grid(BasisConfig.from_label("FF"), 4)
+        wide = IntensityMap(rng.random((512, 512)), 3e-3)
+        small = IntensityMap(rng.random((256, 256)), 3e-3)
+        # Alternate grids and subsample counts on one alphabet instance, so
+        # that n, extent and subsamples each change alone.  A repeated key
+        # decodes nothing; a new one fills the one slot again.
+        for imap, sub, warm in ((ff, 8, False), (ff, 8, True),
+                                (wide, 8, False), (small, 8, False),
+                                (small, 3, False), (small, 3, True),
+                                (ff, 3, False), (ff, 8, False)):
+            decoded.clear()
+            got = bin_probabilities(imap, alph, sub)
+            assert (sum(decoded) == 0) == warm
+            want = bin_probabilities_reference(imap, alph, sub)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+    def test_subsamples_validation(self, model37, alphabet37):
+        imap = model37.intensity_grid(BasisConfig.from_label("FF"), 0)
+        for bad in (0, -2, True, 2.5, "8", None):
+            with pytest.raises(ValueError, match="subsamples"):
+                bin_probabilities(imap, alphabet37, bad)
 
     def test_source_from_conjugate(self, model37, probs37):
         table = model37.probability_table()

@@ -10,6 +10,8 @@ from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                grid_coords, hexagon_mask, make_aperture_field,
                                point_inverted, propagate_chain)
 
+from _oracles import crossed_gaussian_2d, gaussian_aperture_2d
+
 
 @pytest.fixture()
 def geom():
@@ -180,6 +182,24 @@ class TestAnalyticEquivalence:
                                 geom.wavelength).normalized()
         diff = np.abs(fallback.samples) - np.abs(closed.samples)
         assert np.linalg.norm(diff) / np.linalg.norm(np.abs(closed.samples)) < 1e-3
+
+    def test_separable_fields_match_2d_formula(self, geom):
+        spec = ApertureSpec("gaussian", 100e-6, (346.4e-6, -600e-6))
+
+        def check(field, ref):
+            ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * field.step ** 2)
+            peak = np.abs(ref).max()
+            assert np.max(np.abs(field.samples - ref)) <= 1e-12 * peak
+
+        aperture = make_aperture_field(spec, geom)
+        check(aperture, gaussian_aperture_2d(aperture.coords(), spec.size,
+                                             spec.center))
+        for label in ("IF", "FI"):
+            closed = analytic_amplitude(BasisConfig.from_label(label), spec,
+                                        geom)
+            check(closed, crossed_gaussian_2d(
+                closed.coords(), geom.wavenumber, geom.fourier_focal,
+                spec.size, spec.center))
 
     def test_hard_aperture_tails_are_caught(self, geom):
         """Sharp-edged apertures spread past the grid and must be refused."""

@@ -40,6 +40,10 @@ class TestNoiseModel:
             NoiseModel(jitter_sigma=-1e-6)
         with pytest.raises(ValueError):
             NoiseModel(loss_prob=1.5)
+        for kwargs in ({"loss_prob": True}, {"background_prob": True},
+                       {"jitter_sigma": True, "background_prob": False}):
+            with pytest.raises(ValueError, match="boolean"):
+                NoiseModel(**kwargs)
 
     def test_background_weight(self):
         noise = NoiseModel(background_prob=0.01)
