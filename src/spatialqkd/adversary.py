@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import number
 from ._csv import code_fields, flag_fields, row_blocks, write_csv
 from .optics import BASIS_BY_CODE
 
@@ -56,17 +57,8 @@ class AdversarySpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        for name in ("eta", "evidence_threshold"):
-            # bool is an int subclass, and True is no fraction or threshold.
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
-        if not (self.evidence_threshold >= 0
-                and np.isfinite(self.evidence_threshold)):
-            raise ValueError(
-                f"evidence_threshold must be non-negative, "
-                f"got {self.evidence_threshold!r}")
+        number("eta", self.eta, "[0, 1]")
+        number("evidence_threshold", self.evidence_threshold, "[0, inf)")
 
     @property
     def active(self) -> bool:

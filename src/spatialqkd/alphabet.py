@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._checks import count, number
 from ._csv import float_fields, write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
@@ -118,8 +119,7 @@ class HexAlphabet:
         c = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if not (self.cell_radius > 0 and np.isfinite(self.cell_radius)):
-            raise ValueError(f"cell_radius must be positive, got {self.cell_radius!r}")
+        number("cell_radius", self.cell_radius, "(0, inf)")
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
             raise ValueError(f"centers must have shape (d, 2), got {c.shape}")
         if len(self.labels) != c.shape[0]:
@@ -257,7 +257,7 @@ class HexAlphabet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HexAlphabet":
-        return cls(cell_radius=float(data["cell_radius"]),
+        return cls(cell_radius=data["cell_radius"],
                    centers=np.asarray(data["centers"], dtype=np.float64),
                    labels=tuple(data["labels"]),
                    rings=data.get("rings"))
@@ -269,10 +269,7 @@ def build_hex_alphabet(rings: int = 3, cell_radius: float = 200e-6) -> HexAlphab
     The size is ``d = 1 + 3 * rings * (rings + 1)``; labels run through
     digits, uppercase then lowercase letters in spiral order from the center.
     """
-    if rings < 0:
-        raise ValueError(f"rings must be non-negative, got {rings}")
-    if not (cell_radius > 0 and np.isfinite(cell_radius)):
-        raise ValueError(f"cell_radius must be positive, got {cell_radius!r}")
+    count("rings", rings, 0)
     spacing = cell_radius * np.sqrt(3.0)
     sites: list[np.ndarray] = []
     for ring in range(rings + 1):
@@ -291,9 +288,8 @@ def build_packed_alphabet(envelope_radius: float,
     relative tolerance).  Falls back to the single central cell when not even
     that fits, so the result is never empty.
     """
-    if not (envelope_radius > 0 and np.isfinite(envelope_radius)):
-        raise ValueError(
-            f"envelope_radius must be positive, got {envelope_radius!r}")
+    number("envelope_radius", envelope_radius, "(0, inf)")
+    number("cell_radius", cell_radius, "(0, inf)")
     spacing = cell_radius * np.sqrt(3.0)
     max_ring = int(np.ceil(envelope_radius / spacing)) + 1
     kept: list[np.ndarray] = []
@@ -315,8 +311,7 @@ def calibrate_envelope(alphabet: HexAlphabet, containment: float = 0.99) -> floa
     Solves ``1 - exp(-2 R**2 / w**2) = containment`` for ``w``, where ``R``
     is the radius of the circle circumscribing the cell pattern.
     """
-    if not 0.0 < containment < 1.0:
-        raise ValueError(f"containment must be in (0, 1), got {containment!r}")
+    number("containment", containment, "(0, 1)")
     radius = alphabet.envelope_radius
     return float(radius * np.sqrt(2.0 / -np.log1p(-containment)))
 
@@ -484,10 +479,7 @@ def bin_probabilities(imap: IntensityMap, alphabet: HexAlphabet,
     alphabet keeps that one partition.  Later calls on the same grid are
     O(n**2) array passes over the map.
     """
-    # Not isinstance: bool is an int subclass, and True is no count.
-    if type(subsamples) is not int or subsamples < 1:
-        raise ValueError(
-            f"subsamples must be an integer >= 1, got {subsamples!r}")
+    count("subsamples", subsamples, 1)
     pixel_ids, boundary, sub_ids = _grid_partition(
         alphabet, imap.n, imap.extent, subsamples)
     mass = (imap.values * imap.step ** 2).ravel()
@@ -546,8 +538,7 @@ def leakage_check(maps: ProbabilityMap, eps: float = 1e-4) -> list[RiskyCell]:
     probability.  Cells with one support at or above ``eps`` and the other
     below are returned; a sound alphabet yields an empty list.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    number("eps", eps, "(0, inf)")
     matched = np.maximum(maps.probs["FF"].max(axis=0), maps.probs["II"].max(axis=0))
     conj = np.maximum(maps.probs["IF"].max(axis=0), maps.probs["FI"].max(axis=0))
     flagged = []

@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from ._checks import count
 from .adversary import eve_log_to_csv
 from .alphabet import build_packed_alphabet, save_alphabet
 from .config import ConfigError, ExperimentConfig
@@ -88,10 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config) if args.config \
+    return ExperimentConfig.load(args.config) if args.config \
         else ExperimentConfig()
-    cfg.validate()
-    return cfg
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -101,6 +100,7 @@ def _outdir(args: argparse.Namespace) -> str:
 
 def cmd_maps(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    cfg.validate()
     out = _outdir(args)
     alphabet = cfg.build_alphabet()
     model = cfg.build_model(alphabet)
@@ -138,7 +138,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rounds=args.rounds, seed=args.seed, eta=args.eta,
         strategy=args.strategy, evidence_threshold=args.evidence_threshold,
         source=args.source)
-    cfg.validate()
     out = _outdir(args)
     result = run_session(cfg)
     stats = result.stats
@@ -179,8 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_security(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    if args.eta_points < 2:
-        raise ConfigError("--eta-points must be at least 2")
+    count("--eta-points", args.eta_points, 2, ConfigError)
     probs = cfg.build_model().source().probabilities
     etas = np.linspace(0.0, 1.0, args.eta_points)
     reports = [security_report(probs, float(eta)) for eta in etas]
@@ -222,8 +220,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     envelope_radius = cfg.build_alphabet().envelope_radius
     rows = []
     for radius in args.cell_radius:
-        if not radius > 0:
-            raise ConfigError(f"cell radius must be positive, got {radius!r}")
         packed = build_packed_alphabet(envelope_radius, radius)
         dist = envelope_distribution(packed)
         entropy = shannon_entropy(dist.probabilities)
@@ -233,7 +229,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             "source_entropy_bits": entropy,
         })
         print(f"cell radius {radius:.3e} m: {packed.d} characters, "
-              f"{entropy:.3f} bits per photon")
+              f"{entropy:.3f} bits of source entropy")
     payload = {"envelope_radius": envelope_radius, "points": rows}
     with open(os.path.join(out, "scaling.json"), "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,9 +1,9 @@
 """Experiment configuration: defaults, JSON round-trip, cross-validation.
 
 A configuration is a nested set of frozen parameter blocks.  Construction
-validates each block's own ranges; :meth:`ExperimentConfig.validate` checks
-the blocks against each other (grid resolution versus cell size, envelope
-versus grid extent) and reports every violation at once.
+checks each field's range, from Python and from JSON alike; only what draws
+on the sample grid calls :meth:`ExperimentConfig.validate`, which checks the
+grid against the alphabet and reports every violation at once.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from ._checks import count, number
 from .adversary import AdversarySpec
 from .alphabet import HexAlphabet, build_hex_alphabet, calibrate_envelope
 from .model import GaussianModel
-from .optics import Geometry, GeometryError
+from .optics import Geometry
 from .protocol import NoiseModel
 
 __all__ = [
@@ -40,14 +41,8 @@ class AlphabetParams:
     cell_radius: float = 200e-6
 
     def __post_init__(self) -> None:
-        # Not isinstance: bool is an int subclass, and True is no count.
-        if type(self.rings) is not int or self.rings < 0:
-            raise ConfigError(f"rings must be a non-negative integer, "
-                              f"got {self.rings!r}")
-        if isinstance(self.cell_radius, bool) or not (
-                self.cell_radius > 0 and np.isfinite(self.cell_radius)):
-            raise ConfigError(
-                f"cell_radius must be positive, got {self.cell_radius!r}")
+        count("rings", self.rings, 0, ConfigError)
+        number("cell_radius", self.cell_radius, "(0, inf)", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -61,16 +56,10 @@ class SessionParams:
     keep_log: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, "
-                                  f"got {value!r}")
-        if isinstance(self.sample_fraction, bool) or not (
-                0.0 < self.sample_fraction <= 1.0):
-            raise ConfigError(f"sample_fraction must be in (0, 1], "
-                              f"got {self.sample_fraction!r}")
-        if not isinstance(self.keep_log, bool):
+        count("rounds", self.rounds, 0, ConfigError)
+        count("seed", self.seed, 0, ConfigError)
+        number("sample_fraction", self.sample_fraction, "(0, 1]", ConfigError)
+        if type(self.keep_log) is not bool:
             raise ConfigError(f"keep_log must be a boolean, "
                               f"got {self.keep_log!r}")
         if self.source not in ("model", "uniform"):
@@ -98,8 +87,13 @@ class ExperimentConfig:
     session: SessionParams = field(default_factory=SessionParams)
     envelope_waist: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.envelope_waist is not None:
+            number("envelope_waist", self.envelope_waist, "(0, inf)",
+                   ConfigError)
+
     def validate(self) -> None:
-        """Check cross-block consistency; raise with every problem found."""
+        """Check the grid against the alphabet; raise with every problem found."""
         problems: list[str] = []
         geom = self.geometry
         step = 2.0 * geom.grid_extent / geom.grid_samples
@@ -120,11 +114,6 @@ class ExperimentConfig:
                 f"cell pattern radius {alphabet.envelope_radius:.3e} m plus "
                 f"envelope waist {waist:.3e} m exceeds the grid half-extent "
                 f"{geom.grid_extent:.3e} m")
-        if self.envelope_waist is not None and not (
-                self.envelope_waist > 0 and np.isfinite(self.envelope_waist)):
-            problems.append(
-                f"envelope_waist override must be positive, "
-                f"got {self.envelope_waist!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -158,28 +147,15 @@ class ExperimentConfig:
             section = data.get(name, {})
             if not isinstance(section, dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            defaults = {f.name: f.default for f in fields(section_cls)}
-            bad = set(section) - set(defaults)
+            bad = set(section) - {f.name for f in fields(section_cls)}
             if bad:
                 raise ConfigError(
                     f"unknown keys in section {name!r}: {', '.join(sorted(bad))}")
-            # JSON true/false is accepted only where the default is a bool.
-            flags = [key for key, value in section.items()
-                     if isinstance(value, bool)
-                     and not isinstance(defaults[key], bool)]
-            if flags:
-                raise ConfigError(
-                    f"invalid section {name!r}: {', '.join(sorted(flags))} "
-                    f"must not be a boolean")
             try:
                 kwargs[name] = section_cls(**section)
-            except (TypeError, ValueError, GeometryError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid section {name!r}: {exc}") from exc
-        waist = data.get("envelope_waist")
-        if isinstance(waist, bool):
-            raise ConfigError("envelope_waist must not be a boolean")
-        kwargs["envelope_waist"] = None if waist is None else float(waist)
-        return cls(**kwargs)
+        return cls(**kwargs, envelope_waist=data.get("envelope_waist"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -32,6 +32,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize, special
 
+from ._checks import count, number
+
 __all__ = [
     "CLONING_ATTACK_ERROR_BOUND",
     "shannon_entropy",
@@ -75,8 +77,7 @@ def shannon_entropy(p) -> float:
 def intercept_resend_errors(p, eta: float) -> np.ndarray:
     """Per-character error rates caused by intercepting a fraction ``eta``."""
     p = _check_distribution(p)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
+    number("eta", eta, "[0, 1]")
     return 0.5 * eta * (1.0 - p)
 
 
@@ -86,8 +87,7 @@ def uniform_intercept_error(d: int) -> Fraction:
     Exactly ``(d - 1) / (2 d)``: the attack is noticed half the time on each
     of the ``d - 1`` wrong characters.
     """
-    if d < 1:
-        raise ValueError(f"alphabet size must be positive, got {d}")
+    count("d", d, 1)
     return Fraction(d - 1, 2 * d)
 
 
@@ -153,8 +153,7 @@ def mutual_information_exact(p, errors) -> float:
 def info_eve(p, eta: float) -> float:
     """Intercept-resend eavesdropper information, ``(eta / 2) H(P)`` bits."""
     p = _check_distribution(p)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
+    number("eta", eta, "[0, 1]")
     return 0.5 * eta * shannon_entropy(p)
 
 

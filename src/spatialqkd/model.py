@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from ._checks import number
 from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
                        _crossed_source, calibrate_envelope)
-from .optics import (ALL_CONFIGS, Basis, BasisConfig, Geometry, IntensityMap,
-                     grid_coords)
+from .optics import Basis, BasisConfig, Geometry, IntensityMap, grid_coords
 
 __all__ = [
     "GaussianModel",
@@ -84,9 +84,8 @@ def envelope_distribution(alphabet: HexAlphabet,
     the sender should draw characters from so that crossed-basis detections
     reveal nothing beyond the envelope shape.
     """
-    waist = calibrate_envelope(alphabet) if envelope_waist is None else envelope_waist
-    if not (waist > 0 and np.isfinite(waist)):
-        raise ValueError(f"envelope waist must be positive, got {waist!r}")
+    waist = calibrate_envelope(alphabet) if envelope_waist is None \
+        else number("envelope_waist", envelope_waist, "(0, inf)")
     polys = hex_vertices(alphabet.centers, alphabet.cell_radius)
     raw = gaussian_polygon_integral((0.0, 0.0), waist, polys)
     total = raw.sum()
@@ -122,9 +121,7 @@ class GaussianModel:
     def __post_init__(self) -> None:
         if self.envelope_waist is None:
             self.envelope_waist = calibrate_envelope(self.alphabet)
-        if not (self.envelope_waist > 0 and np.isfinite(self.envelope_waist)):
-            raise ValueError(
-                f"envelope_waist must be positive, got {self.envelope_waist!r}")
+        number("envelope_waist", self.envelope_waist, "(0, inf)")
         if self.region is None:
             self.region = self.alphabet
         if abs(self.region.cell_radius - self.alphabet.cell_radius) \

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import count, number
 from ._csv import float_fields, row_blocks, write_csv
 
 __all__ = [
@@ -131,12 +132,11 @@ class Geometry:
     def __post_init__(self) -> None:
         for name in ("wavelength", "imaging_focal", "channel_focal",
                      "aperture_waist", "grid_extent"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise GeometryError(f"{name} must be positive, got {value!r}")
-        if self.grid_samples < 16 or self.grid_samples % 2:
+            number(name, getattr(self, name), "(0, inf)", GeometryError)
+        count("grid_samples", self.grid_samples, 16, GeometryError)
+        if self.grid_samples % 2:
             raise GeometryError(
-                f"grid_samples must be an even integer >= 16, got {self.grid_samples}")
+                f"grid_samples must be even, got {self.grid_samples}")
 
     @property
     def wavenumber(self) -> float:
@@ -175,8 +175,7 @@ class ApertureSpec:
         if self.shape not in self._SHAPES:
             raise GeometryError(
                 f"aperture shape must be one of {self._SHAPES}, got {self.shape!r}")
-        if not (self.size > 0 and np.isfinite(self.size)):
-            raise GeometryError(f"aperture size must be positive, got {self.size!r}")
+        number("size", self.size, "(0, inf)", GeometryError)
 
     def displaced(self, center) -> "ApertureSpec":
         return replace(self, center=(float(center[0]), float(center[1])))
@@ -197,12 +196,11 @@ class LensChain:
     _ROLES = ("alice_I", "alice_F", "bob_I", "bob_F", "channel")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "focal_lengths",
-                           tuple(float(f) for f in self.focal_lengths))
+        object.__setattr__(self, "focal_lengths", tuple(
+            number("focal length", f, "(0, inf)", GeometryError)
+            for f in self.focal_lengths))
         if self.role not in self._ROLES:
             raise GeometryError(f"unknown chain role {self.role!r}")
-        if any(not (f > 0 and np.isfinite(f)) for f in self.focal_lengths):
-            raise GeometryError(f"focal lengths must be positive: {self.focal_lengths}")
         n = len(self.focal_lengths)
         if self.role in ("alice_F", "bob_F"):
             if n != 1:
@@ -235,8 +233,7 @@ class OpticalField:
             raise GeometryError(f"field samples must be square, got shape {a.shape}")
         if a.shape[0] % 2:
             raise GeometryError("field grid must have an even number of samples")
-        if not (self.extent > 0 and np.isfinite(self.extent)):
-            raise GeometryError(f"field extent must be positive, got {self.extent!r}")
+        number("extent", self.extent, "(0, inf)", GeometryError)
         if not np.all(np.isfinite(a.view(np.float64))):
             raise GeometryError("field samples contain non-finite values")
 
@@ -263,10 +260,18 @@ class OpticalField:
         return np.abs(self.samples) ** 2
 
     def normalized(self) -> "OpticalField":
-        p = self.power
-        if p <= 0:
-            raise GeometryError("cannot normalize a zero-power field")
-        return OpticalField(self.samples / np.sqrt(p), self.extent, self.wavelength)
+        return _unit_field(self.samples, self.extent, self.wavelength)
+
+
+def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
+                empty: str = "cannot normalize a zero-power field",
+                ) -> OpticalField:
+    """One field of ``amp`` at unit power; raises ``empty`` if it has none."""
+    amp = np.asarray(amp, dtype=np.complex128)
+    power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
+    if power <= 0:
+        raise GeometryError(empty)
+    return OpticalField(amp / np.sqrt(power), extent, wavelength)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,12 +366,10 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
             amp = (rsq <= spec.size ** 2).astype(np.float64)
         else:
             amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
-    out = OpticalField(amp.astype(np.complex128), geom.grid_extent, geom.wavelength)
-    if out.power <= 0:
-        raise GeometryError(
-            f"aperture of size {spec.size:g} covers no grid samples "
-            f"(grid step {out.step:g})")
-    return out.normalized()
+    step = 2.0 * geom.grid_extent / geom.grid_samples
+    return _unit_field(amp, geom.grid_extent, geom.wavelength,
+                       f"aperture of size {spec.size:g} covers no grid samples "
+                       f"(grid step {step:g})")
 
 
 def angular_spectrum(field: OpticalField) -> OpticalField:
@@ -488,16 +491,15 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
         # Separable: each axis carries its Gaussian factor and its tilt phase.
         amp = np.outer(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
                        np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy))
-        field = OpticalField(amp, out_extent, geom.wavelength)
     else:
-        spectrum = angular_spectrum(make_aperture_field(spec, geom))
-        field = OpticalField(spectrum.samples, out_extent, geom.wavelength)
-    return field.normalized()
+        amp = angular_spectrum(make_aperture_field(spec, geom)).samples
+    return _unit_field(amp, out_extent, geom.wavelength)
 
 
 def detection_probability_map(field: OpticalField) -> IntensityMap:
     """Pointwise squared modulus as a detection probability density."""
-    p = field.power
+    intensity = field.intensity()
+    p = float(np.sum(intensity) * field.step ** 2)
     if p <= 0:
         raise GeometryError("cannot form a probability map from a zero field")
-    return IntensityMap(field.intensity() / p, field.extent)
+    return IntensityMap(intensity / p, field.extent)

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import number
 from ._csv import code_fields, flag_fields, row_blocks, write_csv
 from .adversary import attack_batch, eve_information_estimate
 from .alphabet import SourceDistribution
@@ -71,19 +72,9 @@ class NoiseModel:
     loss_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("background_prob", "jitter_sigma", "loss_prob"):
-            # bool is an int subclass, and True is no probability or width.
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        if not (0.0 <= self.background_prob and np.isfinite(self.background_prob)):
-            raise ValueError(
-                f"background_prob must be non-negative, got {self.background_prob!r}")
-        if not (self.jitter_sigma >= 0 and np.isfinite(self.jitter_sigma)):
-            raise ValueError(
-                f"jitter_sigma must be non-negative, got {self.jitter_sigma!r}")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(
-                f"loss_prob must be in [0, 1], got {self.loss_prob!r}")
+        number("background_prob", self.background_prob, "[0, inf)")
+        number("jitter_sigma", self.jitter_sigma, "[0, inf)")
+        number("loss_prob", self.loss_prob, "[0, 1]")
 
     def background_weight(self, d: int) -> float:
         """Mixture weight of the uniform background among detections."""
@@ -323,7 +314,6 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     Deterministic in the session seed: identical configurations produce
     byte-identical statistics and logs.
     """
-    config.validate()
     alphabet = config.build_alphabet()
     model = config.build_model(alphabet)
     if config.session.source == "uniform":

@@ -8,6 +8,7 @@ field references build full 2-D meshgrids.
 """
 
 import numpy as np
+from scipy import special
 
 SQRT3 = np.sqrt(3.0)
 
@@ -143,3 +144,14 @@ def crossed_gaussian_2d(coords: np.ndarray, k: float, focal: float,
     qx, qy = k * x / focal, k * y / focal
     return (np.exp(-(waist ** 2 / 4.0) * (qx ** 2 + qy ** 2))
             * np.exp(-1j * (qx * center[0] + qy * center[1])))
+
+
+def airy_amplitude_2d(coords: np.ndarray, k: float, focal: float,
+                      radius: float) -> np.ndarray:
+    """Unnormalized crossed-basis modulus of a circular aperture of given
+    radius, the Airy pattern ``|2 J1(q a) / (q a)|`` at ``q = k rho / focal``,
+    from the full 2-D meshgrid."""
+    x, y = np.meshgrid(coords, coords, indexing="ij")
+    qa = k * np.hypot(x, y) / focal * radius
+    safe = np.where(qa > 0, qa, 1.0)
+    return np.abs(np.where(qa > 0, 2.0 * special.j1(safe) / safe, 1.0))

@@ -83,6 +83,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HexAlphabet(200e-6, np.array([[0.0, 0.0], [np.nan, 0.0]]),
                         ("0", "1"))
+        with pytest.raises(ValueError, match="rings"):
+            build_hex_alphabet(True)  # would be the 7-cell alphabet
+        with pytest.raises(ValueError, match="cell_radius"):
+            HexAlphabet.from_dict({**_BASE37.to_dict(), "cell_radius": True})
 
     def test_inverse_index(self, alphabet37):
         for i in range(alphabet37.d):

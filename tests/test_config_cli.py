@@ -11,8 +11,31 @@ from spatialqkd.cli import main
 from spatialqkd.config import (AlphabetParams, ConfigError, ExperimentConfig,
                                SessionParams)
 from spatialqkd.model import GaussianModel
-from spatialqkd.optics import Geometry
-from spatialqkd.protocol import NoiseModel
+from spatialqkd.optics import Geometry, GeometryError
+from spatialqkd.protocol import NoiseModel, run_session
+
+#: Every numeric field of the configuration: its section (None for the
+#: top-level ``envelope_waist``), the constructor that checks it, the error
+#: that constructor raises, and one value out of the field's range.
+_NUMERIC_FIELDS = (
+    ("geometry", Geometry, GeometryError, "wavelength", -1.0),
+    ("geometry", Geometry, GeometryError, "imaging_focal", 0.0),
+    ("geometry", Geometry, GeometryError, "channel_focal", -0.1),
+    ("geometry", Geometry, GeometryError, "aperture_waist", 0.0),
+    ("geometry", Geometry, GeometryError, "grid_samples", 8),
+    ("geometry", Geometry, GeometryError, "grid_extent", 0.0),
+    ("alphabet", AlphabetParams, ConfigError, "rings", -1),
+    ("alphabet", AlphabetParams, ConfigError, "cell_radius", 0.0),
+    ("session", SessionParams, ConfigError, "rounds", -5),
+    ("session", SessionParams, ConfigError, "seed", -1),
+    ("session", SessionParams, ConfigError, "sample_fraction", 0.0),
+    ("noise", NoiseModel, ValueError, "background_prob", -0.1),
+    ("noise", NoiseModel, ValueError, "jitter_sigma", -1e-6),
+    ("noise", NoiseModel, ValueError, "loss_prob", 1.5),
+    ("adversary", AdversarySpec, ValueError, "eta", 1.2),
+    ("adversary", AdversarySpec, ValueError, "evidence_threshold", -1.0),
+    (None, ExperimentConfig, ConfigError, "envelope_waist", 0.0),
+)
 
 
 class TestConfigValidation:
@@ -20,35 +43,29 @@ class TestConfigValidation:
         ExperimentConfig().validate()
 
     def test_section_validation(self):
-        with pytest.raises(ConfigError):
-            AlphabetParams(rings=-1)
-        with pytest.raises(ConfigError):
-            AlphabetParams(cell_radius=0.0)
-        with pytest.raises(ConfigError):
-            SessionParams(sample_fraction=0.0)
-        with pytest.raises(ConfigError):
-            SessionParams(source="laplace")
-        with pytest.raises(ConfigError):
-            SessionParams(rounds=-5)
-        for flags in ({"rounds": True}, {"seed": False},
-                      {"sample_fraction": True}, {"keep_log": 0},
-                      {"keep_log": "yes"}):
+        # One rule for every numeric field, on the Python and the JSON path.
+        for section, cls, error, key, out_of_range in _NUMERIC_FIELDS:
+            for value in (True, np.True_, np.nan, np.inf, -np.inf,
+                          out_of_range):
+                match = f"{key} .*a boolean" if value is True \
+                    or value is np.True_ else key
+                with pytest.raises(error, match=match):
+                    cls(**{key: value})
+                data = {key: value} if section is None \
+                    else {section: {key: value}}
+                with pytest.raises(ConfigError, match=match):
+                    ExperimentConfig.from_dict(data)
+        for flags in ({"seed": False}, {"keep_log": 0}, {"keep_log": "yes"},
+                      {"source": "laplace"}):
             with pytest.raises(ConfigError):
                 SessionParams(**flags)
-        for flags in ({"rings": True}, {"cell_radius": True}):
-            with pytest.raises(ConfigError):
-                AlphabetParams(**flags)
-        with pytest.raises(ConfigError, match="rounds"):
-            ExperimentConfig.from_json('{"session": {"rounds": true}}')
-        for section, key in (("alphabet", "rings"), ("alphabet", "cell_radius"),
-                             ("session", "sample_fraction"),
-                             ("noise", "loss_prob"), ("adversary", "eta"),
-                             ("adversary", "strategy"),
-                             ("geometry", "grid_samples")):
+        for text, key in (('{"session": {"rounds": true}}', "rounds"),
+                          ('{"session": {"rounds": 100000.0}}', "rounds"),
+                          ('{"geometry": {"grid_samples": 512.0}}',
+                           "grid_samples"),
+                          ('{"adversary": {"strategy": true}}', "strategy")):
             with pytest.raises(ConfigError, match=key):
-                ExperimentConfig.from_dict({section: {key: True}})
-        with pytest.raises(ConfigError, match="envelope_waist"):
-            ExperimentConfig.from_dict({"envelope_waist": False})
+                ExperimentConfig.from_json(text)
         cfg = ExperimentConfig.from_json('{"session": {"keep_log": false}}')
         assert cfg.session.keep_log is False
 
@@ -64,6 +81,28 @@ class TestConfigValidation:
         cfg = ExperimentConfig(alphabet=AlphabetParams(rings=8))
         with pytest.raises(ConfigError, match="half-extent"):
             cfg.validate()
+
+    @pytest.mark.parametrize("alphabet, problem", [
+        (AlphabetParams(rings=20), "half-extent"),                   # d = 1261
+        (AlphabetParams(rings=12, cell_radius=60e-6), "grid step"),  # d = 469
+    ])
+    def test_grid_checked_only_where_drawn(self, tmp_path, capsys, alphabet,
+                                           problem):
+        """Sessions never touch the sample grid, so an alphabet the default
+        grid cannot draw still runs; only ``maps`` refuses it."""
+        cfg = ExperimentConfig(alphabet=alphabet,
+                               session=SessionParams(rounds=4_000, seed=3))
+        assert run_session(cfg).stats.rounds == 4_000
+        path = str(tmp_path / "config.json")
+        cfg.save(path)
+        for argv in (["simulate"], ["security", "--eta-points", "3"],
+                     ["scaling"]):
+            assert main([*argv, "--config", path,
+                         "--out", str(tmp_path / argv[0])]) == 0
+        capsys.readouterr()
+        assert main(["maps", "--config", path,
+                     "--out", str(tmp_path / "maps")]) == 2
+        assert problem in capsys.readouterr().err
 
     def test_envelope_waist_override(self):
         cfg = ExperimentConfig(envelope_waist=0.5e-3)

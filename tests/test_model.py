@@ -84,6 +84,9 @@ class TestEnvelopeDistribution:
     def test_waist_override(self, alphabet37):
         wide = envelope_distribution(alphabet37, envelope_waist=5e-3)
         assert np.ptp(wide.probabilities) < 0.01  # nearly flat
+        for waist in (True, 0.0, np.nan, np.inf, 10 ** 400):
+            with pytest.raises(ValueError, match="envelope_waist"):
+                envelope_distribution(alphabet37, waist)
 
 
 class TestGaussianModel:

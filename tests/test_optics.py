@@ -10,7 +10,8 @@ from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                grid_coords, hexagon_mask, make_aperture_field,
                                point_inverted, propagate_chain)
 
-from _oracles import crossed_gaussian_2d, gaussian_aperture_2d
+from _oracles import (airy_amplitude_2d, crossed_gaussian_2d,
+                      gaussian_aperture_2d)
 
 
 @pytest.fixture()
@@ -102,6 +103,8 @@ class TestApertures:
     def test_unknown_shape_rejected(self):
         with pytest.raises(GeometryError):
             ApertureSpec("triangle", 1e-4)
+        with pytest.raises(GeometryError, match="boolean"):
+            ApertureSpec("gaussian", True)
 
 
 class TestTransforms:
@@ -182,6 +185,27 @@ class TestAnalyticEquivalence:
                                 geom.wavelength).normalized()
         diff = np.abs(fallback.samples) - np.abs(closed.samples)
         assert np.linalg.norm(diff) / np.linalg.norm(np.abs(closed.samples)) < 1e-3
+
+    @pytest.mark.parametrize("radius", [150e-6, 400e-6])
+    def test_circular_crossed_fallback_is_airy(self, geom, radius):
+        """The discrete-transform branch, taken by every non-Gaussian
+        aperture, gives the Airy pattern on the closed form's grid."""
+        spec = ApertureSpec("circular", radius, (346.4e-6, 0.0))
+        m_if, m_fi = (analytic_amplitude(BasisConfig.from_label(label), spec,
+                                         geom) for label in ("IF", "FI"))
+        gaussian = analytic_amplitude(BasisConfig.from_label("IF"),
+                                      ApertureSpec("gaussian", 100e-6), geom)
+        assert m_if.power == pytest.approx(1.0, abs=1e-12)
+        assert m_if.extent == pytest.approx(gaussian.extent, rel=1e-12)
+        assert np.max(np.abs(np.abs(m_if.samples) - np.abs(m_fi.samples))) < 1e-12
+        ref = airy_amplitude_2d(m_if.coords(), geom.wavenumber,
+                                geom.fourier_focal, radius)
+        ref = ref / np.sqrt(np.sum(ref ** 2) * m_if.step ** 2)
+        # The pixelated disc differs from the ideal one: the relative L2 gap
+        # measured 0.055-0.096 for radii of 150-400 um, centred or not, on
+        # the default grid.
+        gap = np.linalg.norm(np.abs(m_if.samples) - ref) / np.linalg.norm(ref)
+        assert gap < 0.15
 
     def test_separable_fields_match_2d_formula(self, geom):
         spec = ApertureSpec("gaussian", 100e-6, (346.4e-6, -600e-6))
