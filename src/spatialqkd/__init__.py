@@ -11,13 +11,13 @@ from .adversary import AdversarySpec
 from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
                        bin_probabilities, build_hex_alphabet,
                        build_packed_alphabet, calibrate_envelope,
-                       leakage_check, prune_alphabet, source_from_conjugate)
+                       leakage_check, prune_alphabet)
 from .config import AlphabetParams, ConfigError, ExperimentConfig, SessionParams
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, info_ab, info_eve,
                          mutual_information_exact, security_crossover,
                          security_report, shannon_entropy,
                          uniform_intercept_error)
-from .model import GaussianModel, envelope_distribution
+from .model import GaussianModel
 from .optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig, Geometry,
                      GeometryError, LensChain, OpticalField, SamplingError,
                      analytic_amplitude, angular_spectrum,
@@ -35,10 +35,9 @@ __all__ = [
     "ProbabilityMap", "SamplingError", "SessionParams", "SessionStats",
     "SourceDistribution", "analytic_amplitude", "angular_spectrum",
     "bin_probabilities", "build_hex_alphabet", "build_packed_alphabet",
-    "calibrate_envelope", "detection_probability_map",
-    "envelope_distribution", "full_chain", "info_ab", "info_eve",
-    "leakage_check", "make_aperture_field", "mutual_information_exact",
-    "point_inverted", "propagate_chain", "prune_alphabet", "run_session",
-    "security_crossover", "security_report", "shannon_entropy",
-    "source_from_conjugate", "uniform_intercept_error",
+    "calibrate_envelope", "detection_probability_map", "full_chain",
+    "info_ab", "info_eve", "leakage_check", "make_aperture_field",
+    "mutual_information_exact", "point_inverted", "propagate_chain",
+    "prune_alphabet", "run_session", "security_crossover", "security_report",
+    "shannon_entropy", "uniform_intercept_error",
 ]

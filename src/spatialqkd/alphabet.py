@@ -30,7 +30,6 @@ __all__ = [
     "build_packed_alphabet",
     "calibrate_envelope",
     "bin_probabilities",
-    "source_from_conjugate",
     "leakage_check",
     "prune_alphabet",
     "save_alphabet",
@@ -107,7 +106,8 @@ class HexAlphabet:
     labels : tuple of str
         One label per cell, unique.
     rings : int or None
-        Number of complete rings when the alphabet was built that way.
+        Number of complete rings when the alphabet was built that way;
+        ``d`` is then ``1 + 3 * rings * (rings + 1)``.
     """
 
     cell_radius: float
@@ -129,6 +129,10 @@ class HexAlphabet:
             raise ValueError("alphabet labels must be unique")
         if not np.all(np.isfinite(c)):
             raise ValueError("cell centers must be finite")
+        if self.rings is not None:
+            count("rings", self.rings, 0)
+            if c.shape[0] != 1 + 3 * self.rings * (self.rings + 1):
+                raise ValueError(f"rings={self.rings} disagrees with d={c.shape[0]}")
         tree = cKDTree(c)
         if c.shape[0] > 1 and (tree.query(c, k=2)[0][:, 1].min()
                                < self.spacing * (1.0 - 1e-9)):
@@ -490,27 +494,6 @@ def bin_probabilities(imap: IntensityMap, alphabet: HexAlphabet,
     weights = np.repeat(mass[boundary] / subsamples ** 2, subsamples ** 2)
     np.add.at(acc, sub_ids, weights)
     return acc[1:-1], float(acc[0])
-
-
-def source_from_conjugate(maps: ProbabilityMap) -> SourceDistribution:
-    """Character distribution read off the crossed-configuration maps.
-
-    Averages the IF and FI cell probabilities over source characters and
-    renormalizes over the cells.  In the crossed configurations the detected
-    pattern does not depend on the sent character, so the average is the
-    common cell distribution.
-    """
-    return _crossed_source(maps.cell_labels, maps.probs["IF"], maps.probs["FI"])
-
-
-def _crossed_source(cell_labels, if_rows: np.ndarray,
-                   fi_rows: np.ndarray) -> SourceDistribution:
-    """Renormalized average of IF and FI rows, each of shape (sources, cells)."""
-    mixed = 0.5 * (if_rows.mean(axis=0) + fi_rows.mean(axis=0))
-    total = mixed.sum()
-    if total <= 0:
-        raise ValueError("crossed-configuration maps carry no probability")
-    return SourceDistribution(cell_labels, mixed / total)
 
 
 @dataclass(frozen=True)

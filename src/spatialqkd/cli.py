@@ -8,8 +8,9 @@ Subcommands:
 * ``scaling``   alphabet capacity as the cell size shrinks
 
 All commands accept ``--config`` with a JSON experiment description and
-``--out`` for the output directory; invalid configurations or unknown
-characters exit with status 2 and a diagnostic on stderr.
+``--out`` for the output directory; invalid configurations, unknown
+characters and runs too large to allocate exit with status 2 and a
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .alphabet import build_packed_alphabet, save_alphabet
 from .config import ConfigError, ExperimentConfig
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, security_crossover,
                          security_report, shannon_entropy)
-from .model import envelope_distribution
+from .model import GaussianModel
 from .optics import BasisConfig, SamplingError
 from .protocol import run_session
 
@@ -221,8 +222,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     rows = []
     for radius in args.cell_radius:
         packed = build_packed_alphabet(envelope_radius, radius)
-        dist = envelope_distribution(packed)
-        entropy = shannon_entropy(dist.probabilities)
+        entropy = shannon_entropy(GaussianModel(packed).source().probabilities)
         rows.append({
             "cell_radius": radius,
             "alphabet_size": packed.d,
@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, SamplingError) as exc:
+    except (ValueError, OSError, SamplingError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -183,25 +183,20 @@ class ExperimentConfig:
     def override(self, **kwargs) -> "ExperimentConfig":
         """Return a copy with session/adversary scalars replaced.
 
-        Accepts ``rounds``, ``seed``, ``eta``, ``strategy``,
-        ``evidence_threshold`` and ``source`` for command-line overrides.
+        Accepts any ``SessionParams`` or ``AdversarySpec`` field, such as
+        ``rounds``, ``seed``, ``eta`` or ``strategy``, for command-line
+        overrides; a ``None`` value leaves its field as it is.
         """
-        cfg = self
-        session_keys = {k: v for k, v in kwargs.items()
-                        if k in ("rounds", "seed", "sample_fraction",
-                                 "source", "keep_log") and v is not None}
-        adv_keys = {k: v for k, v in kwargs.items()
-                    if k in ("eta", "strategy", "evidence_threshold")
-                    and v is not None}
-        leftovers = set(kwargs) - set(session_keys) - set(adv_keys) - {
-            k for k, v in kwargs.items() if v is None}
-        if leftovers:
-            raise ConfigError(f"unknown overrides: {', '.join(sorted(leftovers))}")
-        if session_keys:
-            cfg = replace(cfg, session=replace(cfg.session, **session_keys))
-        if adv_keys:
-            try:
-                cfg = replace(cfg, adversary=replace(cfg.adversary, **adv_keys))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        return cfg
+        session = {f.name for f in fields(SessionParams)}
+        adversary = {f.name for f in fields(AdversarySpec)}
+        unknown = set(kwargs) - session - adversary
+        if unknown:
+            raise ConfigError(f"unknown overrides: {', '.join(sorted(unknown))}")
+        given = {k: v for k, v in kwargs.items() if v is not None}
+        try:
+            return replace(self, session=replace(
+                self.session, **{k: given[k] for k in session & set(given)}),
+                adversary=replace(self.adversary, **{
+                    k: given[k] for k in adversary & set(given)}))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc

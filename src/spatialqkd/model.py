@@ -20,14 +20,13 @@ from scipy import special
 
 from ._checks import number
 from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
-                       _crossed_source, calibrate_envelope)
+                       calibrate_envelope)
 from .optics import Basis, BasisConfig, Geometry, IntensityMap, grid_coords
 
 __all__ = [
     "GaussianModel",
     "hex_vertices",
     "gaussian_polygon_integral",
-    "envelope_distribution",
 ]
 
 _GL_NODES = 32
@@ -74,26 +73,6 @@ def gaussian_polygon_integral(center, waist: float,
     return edge.sum(axis=-1)
 
 
-def envelope_distribution(alphabet: HexAlphabet,
-                          envelope_waist: float | None = None,
-                          ) -> SourceDistribution:
-    """Character distribution of the crossed-basis envelope over an alphabet.
-
-    Bins a centered Gaussian of the given waist (calibrated to the alphabet
-    when omitted) over the cells and renormalizes.  This is the distribution
-    the sender should draw characters from so that crossed-basis detections
-    reveal nothing beyond the envelope shape.
-    """
-    waist = calibrate_envelope(alphabet) if envelope_waist is None \
-        else number("envelope_waist", envelope_waist, "(0, inf)")
-    polys = hex_vertices(alphabet.centers, alphabet.cell_radius)
-    raw = gaussian_polygon_integral((0.0, 0.0), waist, polys)
-    total = raw.sum()
-    if total <= 0:
-        raise ValueError("envelope carries no probability over the alphabet")
-    return SourceDistribution(alphabet.labels, raw / total)
-
-
 @dataclass(eq=False)
 class GaussianModel:
     """Detection statistics for one alphabet and apparatus geometry.
@@ -133,16 +112,6 @@ class GaussianModel:
     def aperture_waist(self) -> float:
         return self.geometry.aperture_waist
 
-    def plane_center(self, config: BasisConfig, source_index: int) -> np.ndarray:
-        """Mean detection-plane position for one configuration and character."""
-        if not config.matched:
-            return np.zeros(2)
-        center = self.alphabet.centers[source_index]
-        return -center if config.alice == Basis.I else center.copy()
-
-    def plane_waist(self, config: BasisConfig) -> float:
-        return self.aperture_waist if config.matched else float(self.envelope_waist)
-
     def sample_plane(self, noise: np.ndarray, prep_code: np.ndarray,
                      idx: np.ndarray, meas_code: np.ndarray) -> np.ndarray:
         """Detection-plane positions in the decoder frame, shape (m, 2).
@@ -163,12 +132,17 @@ class GaussianModel:
         sigma = np.where(matched, self.aperture_waist, self.envelope_waist) / 2.0
         return sign[:, None] * (centers + sigma[:, None] * noise)
 
+    def _envelope_masses(self) -> np.ndarray:
+        """Mass of the crossed-configuration envelope in each region cell."""
+        polys = hex_vertices(self.region.centers, self.region.cell_radius)
+        return gaussian_polygon_integral((0.0, 0.0), self.envelope_waist, polys)
+
     def probability_table(self) -> ProbabilityMap:
         """Cell probabilities for all configurations and source characters.
 
         Computed once per model by hexagon quadrature and cached.  Crossed
-        configurations share one envelope distribution, so their rows are
-        identical across source characters.
+        configurations share one envelope distribution, so IF and FI are
+        both built from one read-only broadcast of the envelope row.
         """
         if self._table is not None:
             return self._table
@@ -183,9 +157,8 @@ class GaussianModel:
             center = self.alphabet.centers[k]
             ff[k] = gaussian_polygon_integral(center, w_ap, polys)
             ii[k] = gaussian_polygon_integral(-center, w_ap, polys)
-        env = gaussian_polygon_integral((0.0, 0.0), self.envelope_waist, polys)
-        crossed = np.broadcast_to(env, (ns, nc)).copy()
-        probs = {"FF": ff, "II": ii, "IF": crossed, "FI": crossed.copy()}
+        crossed = np.broadcast_to(self._envelope_masses(), (ns, nc))
+        probs = {"FF": ff, "II": ii, "IF": crossed, "FI": crossed}
         residual = {key: 1.0 - p.sum(axis=1) for key, p in probs.items()}
         self._table = ProbabilityMap(cell_labels=region.labels,
                                      cell_centers=region.centers,
@@ -196,28 +169,40 @@ class GaussianModel:
     def source(self) -> SourceDistribution:
         """Character distribution induced by the crossed-basis envelope.
 
-        Equal, bit for bit, to ``source_from_conjugate(probability_table())``
-        at the cost of one quadrature row: the crossed rows of the table are
-        copies of the envelope row, so their average is taken over a
-        broadcast view and the table is neither built nor cached.
+        The envelope's mass in each cell, clipped at zero and renormalized
+        over the cells: the distribution crossed-basis detections follow,
+        whichever character was sent.  Costs one quadrature row; the table
+        is neither built nor cached.
         """
         if self.region.labels != self.alphabet.labels:
             raise ValueError(
                 "source distribution requires the detection region to be "
                 "the source alphabet")
-        region = self.region
-        polys = hex_vertices(region.centers, region.cell_radius)
-        env = np.clip(gaussian_polygon_integral((0.0, 0.0), self.envelope_waist,
-                                                polys), 0.0, None)
-        crossed = np.broadcast_to(env, (self.alphabet.d, region.d))
-        return _crossed_source(region.labels, crossed, crossed)
+        env = np.clip(self._envelope_masses(), 0.0, None)
+        # Crossed detections average the IF and FI rows over the d sent
+        # characters.  Every such row is this one and 0.5 * (m + m) == m, so
+        # that is one mean over d broadcast copies.  The mean is not bit-equal
+        # to the row, and the fixed-seed transcripts were made with it
+        # (``expected_keep_fraction`` is d * min P), so it stays.
+        mixed = np.broadcast_to(env, (self.alphabet.d, env.size)).mean(axis=0)
+        total = mixed.sum()
+        if total <= 0:
+            raise ValueError("envelope carries no probability over the alphabet")
+        return SourceDistribution(self.region.labels, mixed / total)
 
     def intensity_grid(self, config: BasisConfig,
                        source_index: int) -> IntensityMap:
         """Detection density rendered on the apparatus grid."""
         geom = self.geometry
-        mean = self.plane_center(config, source_index)
-        sigma = self.plane_waist(config) / 2.0
+        if config.matched:
+            # The imaging pair shows the cell point-inverted.
+            mean = self.alphabet.centers[source_index]
+            if config.alice == Basis.I:
+                mean = -mean
+            sigma = self.aperture_waist / 2.0
+        else:
+            mean = (0.0, 0.0)
+            sigma = self.envelope_waist / 2.0
         c = grid_coords(geom.grid_samples, geom.grid_extent)
         gx = np.exp(-0.5 * ((c - mean[0]) / sigma) ** 2)
         gy = np.exp(-0.5 * ((c - mean[1]) / sigma) ** 2)

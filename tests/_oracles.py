@@ -45,6 +45,14 @@ def envelope_probs_bruteforce(centers: np.ndarray, circumradius: float,
     return raw / raw.sum()
 
 
+def crossed_source_reference(maps) -> np.ndarray:
+    """Character probabilities read off a table's crossed configurations:
+    the IF and FI rows averaged over source characters, then renormalized
+    over the cells."""
+    mixed = 0.5 * (maps.probs["IF"].mean(axis=0) + maps.probs["FI"].mean(axis=0))
+    return mixed / mixed.sum()
+
+
 def gaussian_mass_in_hex_scanline(cell_center, gauss_center, waist: float,
                                   circumradius: float,
                                   nsub: int = 2000) -> float:

@@ -6,8 +6,7 @@ from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
                                  SourceDistribution, bin_probabilities,
                                  build_hex_alphabet, build_packed_alphabet,
                                  calibrate_envelope, leakage_check,
-                                 load_alphabet, prune_alphabet, save_alphabet,
-                                 source_from_conjugate)
+                                 load_alphabet, prune_alphabet, save_alphabet)
 from spatialqkd.model import GaussianModel, hex_vertices
 from spatialqkd.optics import (ALL_CONFIGS, BASIS_BY_CODE, BasisConfig,
                                Geometry, IntensityMap, hexagon_mask)
@@ -87,6 +86,9 @@ class TestConstruction:
             build_hex_alphabet(True)  # would be the 7-cell alphabet
         with pytest.raises(ValueError, match="cell_radius"):
             HexAlphabet.from_dict({**_BASE37.to_dict(), "cell_radius": True})
+        for rings in ("many", 5):  # 5 rings would be 91 cells, not 37
+            with pytest.raises(ValueError, match="rings"):
+                HexAlphabet.from_dict({**_BASE37.to_dict(), "rings": rings})
 
     def test_inverse_index(self, alphabet37):
         for i in range(alphabet37.d):
@@ -375,12 +377,6 @@ class TestBinning:
         for bad in (0, -2, True, 2.5, "8", None):
             with pytest.raises(ValueError, match="subsamples"):
                 bin_probabilities(imap, alphabet37, bad)
-
-    def test_source_from_conjugate(self, model37, probs37):
-        table = model37.probability_table()
-        src = source_from_conjugate(table)
-        assert np.allclose(src.probabilities, probs37)
-        assert src.probabilities.sum() == pytest.approx(1.0)
 
 
 class TestLeakage:

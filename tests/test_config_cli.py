@@ -177,8 +177,9 @@ class TestOverride:
         assert cfg.override(rounds=None, eta=None) == cfg
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig().override(wavelength=600e-9)
+        for value in (600e-9, None):
+            with pytest.raises(ConfigError, match="wavelength"):
+                ExperimentConfig().override(wavelength=value)
 
 
 @pytest.fixture()
@@ -239,6 +240,15 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rounds_beyond_memory(self, tmp_path, capsys):
+        """The first round column asks for 909 TiB, which fails at once."""
+        code = main(["simulate", "--out", str(tmp_path / "o"),
+                     "--rounds", "1000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_invalid_override_value(self, tmp_path, small_config, capsys):
         code = main(["simulate", "--config", small_config,
@@ -336,6 +346,22 @@ class TestCliScaling:
                      for p in payload["points"]}
         assert entropies[60] > 8.0
         assert "463 characters" in capsys.readouterr().out
+
+    def test_same_entropy_as_security(self, tmp_path):
+        """Both commands report the entropy of the distribution a session
+        draws from, bit for bit, for one 91-cell alphabet."""
+        path = tmp_path / "config.json"
+        ExperimentConfig(alphabet=AlphabetParams(rings=5, cell_radius=1e-4)
+                         ).save(path)
+        assert main(["scaling", "--config", str(path), "--out",
+                     str(tmp_path / "scale"), "--cell-radius", "1e-4"]) == 0
+        assert main(["security", "--config", str(path), "--out",
+                     str(tmp_path / "sec"), "--eta-points", "2"]) == 0
+        point, = json.loads(
+            (tmp_path / "scale" / "scaling.json").read_text())["points"]
+        sec = json.loads((tmp_path / "sec" / "security.json").read_text())
+        assert point["alphabet_size"] == sec["alphabet_size"] == 91
+        assert point["source_entropy_bits"] == sec["source_entropy_bits"]
 
     def test_negative_radius(self, tmp_path, small_config):
         code = main(["scaling", "--config", small_config,

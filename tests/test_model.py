@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spatialqkd.alphabet import (build_hex_alphabet, calibrate_envelope,
-                                 source_from_conjugate)
-from spatialqkd.model import (GaussianModel, envelope_distribution,
-                              gaussian_polygon_integral, hex_vertices)
+from spatialqkd.alphabet import build_hex_alphabet, calibrate_envelope
+from spatialqkd.model import (GaussianModel, gaussian_polygon_integral,
+                              hex_vertices)
 from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
 
-from _oracles import (envelope_probs_bruteforce, gaussian_mass_in_hex,
-                      gaussian_mass_in_hex_scanline)
+from _oracles import (crossed_source_reference, envelope_probs_bruteforce,
+                      gaussian_mass_in_hex, gaussian_mass_in_hex_scanline)
 
 
 class TestPolygonIntegral:
@@ -64,7 +63,7 @@ class TestPolygonIntegral:
 class TestEnvelopeDistribution:
     def test_matches_bruteforce(self, alphabet37):
         waist = calibrate_envelope(alphabet37)
-        dist = envelope_distribution(alphabet37)
+        dist = GaussianModel(alphabet37).source()
         brute = envelope_probs_bruteforce(alphabet37.centers,
                                           alphabet37.cell_radius, waist)
         assert np.max(np.abs(dist.probabilities - brute)) < 1e-5
@@ -82,11 +81,11 @@ class TestEnvelopeDistribution:
             assert np.allclose(group, group[0], rtol=1e-10)
 
     def test_waist_override(self, alphabet37):
-        wide = envelope_distribution(alphabet37, envelope_waist=5e-3)
+        wide = GaussianModel(alphabet37, envelope_waist=5e-3).source()
         assert np.ptp(wide.probabilities) < 0.01  # nearly flat
         for waist in (True, 0.0, np.nan, np.inf, 10 ** 400):
             with pytest.raises(ValueError, match="envelope_waist"):
-                envelope_distribution(alphabet37, waist)
+                GaussianModel(alphabet37, envelope_waist=waist)
 
 
 class TestGaussianModel:
@@ -94,24 +93,6 @@ class TestGaussianModel:
         assert model37.envelope_waist == pytest.approx(
             calibrate_envelope(model37.alphabet))
         assert model37.aperture_waist == geometry.aperture_waist
-
-    def test_plane_centers(self, model37, alphabet37):
-        c5 = alphabet37.centers[5]
-        assert np.allclose(model37.plane_center(BasisConfig.from_label("FF"),
-                                                5), c5)
-        assert np.allclose(model37.plane_center(BasisConfig.from_label("II"),
-                                                5), -c5)
-        for label in ("IF", "FI"):
-            assert np.allclose(model37.plane_center(
-                BasisConfig.from_label(label), 5), 0.0)
-
-    def test_plane_waists(self, model37, geometry):
-        assert model37.plane_waist(BasisConfig.from_label("FF")) == \
-            geometry.aperture_waist
-        assert model37.plane_waist(BasisConfig.from_label("II")) == \
-            geometry.aperture_waist
-        assert model37.plane_waist(BasisConfig.from_label("IF")) == \
-            model37.envelope_waist
 
     def test_sample_positions_moments(self, model37, alphabet37):
         """Matched photons land on the sent cell in the decoder frame for
@@ -164,9 +145,10 @@ class TestGaussianModel:
                               geometry=geometry)
         src = model.source()
         assert model._table is None
-        ref = source_from_conjugate(model.probability_table())
-        assert src.labels == ref.labels
-        assert np.array_equal(src.probabilities, ref.probabilities)
+        table = model.probability_table()
+        assert src.labels == table.cell_labels
+        assert np.array_equal(src.probabilities,
+                              crossed_source_reference(table))
 
     def test_source_requires_full_region(self, alphabet37, geometry):
         inner = build_hex_alphabet(1, 200e-6)
@@ -188,9 +170,23 @@ class TestGaussianModel:
 
     def test_intensity_grid_peak_location(self, model37, alphabet37,
                                           geometry):
-        imap = model37.intensity_grid(BasisConfig.from_label("II"), 1)
+        """Matched maps peak on the sent cell (point-inverted for the imaging
+        pair) with the aperture waist; crossed maps are the envelope, at the
+        origin with its waist."""
         n = geometry.grid_samples
-        idx = np.unravel_index(np.argmax(imap.values), imap.values.shape)
         step = 2 * geometry.grid_extent / n
-        coord = (np.array(idx) - n // 2) * step
-        assert np.allclose(coord, -alphabet37.centers[1], atol=step)
+        for label, sign in (("FF", 1), ("II", -1), ("IF", 0), ("FI", 0)):
+            config = BasisConfig.from_label(label)
+            imap = model37.intensity_grid(config, 1)
+            idx = np.unravel_index(np.argmax(imap.values), imap.values.shape)
+            coord = (np.array(idx) - n // 2) * step
+            mean = sign * alphabet37.centers[1]
+            assert np.allclose(coord, mean, atol=step)
+            waist = geometry.aperture_waist if config.matched \
+                else model37.envelope_waist
+            c = imap.coords()
+            mass = imap.values * step ** 2
+            var_x = np.sum(mass.sum(axis=1) * (c - mean[0]) ** 2)
+            var_y = np.sum(mass.sum(axis=0) * (c - mean[1]) ** 2)
+            assert var_x == pytest.approx((waist / 2) ** 2, rel=1e-3)
+            assert var_y == pytest.approx((waist / 2) ** 2, rel=1e-3)
