@@ -20,9 +20,9 @@ from .infotheory import (CLONING_ATTACK_ERROR_BOUND, info_ab, info_eve,
 from .model import GaussianModel
 from .optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig, Geometry,
                      GeometryError, LensChain, OpticalField, SamplingError,
-                     analytic_amplitude, angular_spectrum,
-                     detection_probability_map, full_chain,
-                     make_aperture_field, point_inverted, propagate_chain)
+                     analytic_amplitude, detection_probability_map,
+                     full_chain, make_aperture_field, point_inverted,
+                     propagate_chain)
 from .protocol import ErrorEstimate, NoiseModel, SessionStats, run_session
 
 __version__ = "0.1.0"
@@ -33,11 +33,11 @@ __all__ = [
     "ErrorEstimate", "ExperimentConfig", "GaussianModel", "Geometry",
     "GeometryError", "HexAlphabet", "LensChain", "NoiseModel", "OpticalField",
     "ProbabilityMap", "SamplingError", "SessionParams", "SessionStats",
-    "SourceDistribution", "analytic_amplitude", "angular_spectrum",
-    "bin_probabilities", "build_hex_alphabet", "build_packed_alphabet",
-    "calibrate_envelope", "detection_probability_map", "full_chain",
-    "info_ab", "info_eve", "leakage_check", "make_aperture_field",
-    "mutual_information_exact", "point_inverted", "propagate_chain",
-    "prune_alphabet", "run_session", "security_crossover", "security_report",
-    "shannon_entropy", "uniform_intercept_error",
+    "SourceDistribution", "analytic_amplitude", "bin_probabilities",
+    "build_hex_alphabet", "build_packed_alphabet", "calibrate_envelope",
+    "detection_probability_map", "full_chain", "info_ab", "info_eve",
+    "leakage_check", "make_aperture_field", "mutual_information_exact",
+    "point_inverted", "propagate_chain", "prune_alphabet", "run_session",
+    "security_crossover", "security_report", "shannon_entropy",
+    "uniform_intercept_error",
 ]

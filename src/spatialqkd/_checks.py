@@ -1,5 +1,5 @@
-"""The rule every scalar parameter follows.  Each call site names the field,
-gives its range and passes the error type it raises."""
+"""The rules every scalar parameter and probability vector follow.  Each
+scalar call site names the field, its range and the error type it raises."""
 
 from __future__ import annotations
 
@@ -35,3 +35,16 @@ def count(name: str, value, floor: int,
     if type(value) is not int or value < floor:
         got = "a boolean" if isinstance(value, (bool, np.bool_)) else repr(value)
         raise error(f"{name} must be an integer >= {floor}, got {got}")
+
+
+def distribution(p) -> np.ndarray:
+    """``p`` as a float array when it is a non-empty vector of finite,
+    non-negative probabilities that add up to 1 within 1e-9."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("expected a one-dimensional probability vector")
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite and non-negative")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {p.sum():.12f}, expected 1")
+    return p

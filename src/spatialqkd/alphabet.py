@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import os
 import string
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._checks import count, number
+from ._checks import count, distribution, number
 from ._csv import float_fields, write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
@@ -103,8 +103,8 @@ class HexAlphabet:
         Center-to-vertex distance of each cell, in meters.
     centers : ndarray of shape (d, 2)
         Cell centers.
-    labels : tuple of str
-        One label per cell, unique.
+    labels : list or tuple of str
+        One per cell, unique, non-empty ASCII, no comma, quote or line break.
     rings : int or None
         Number of complete rings when the alphabet was built that way;
         ``d`` is then ``1 + 3 * rings * (rings + 1)``.
@@ -118,7 +118,15 @@ class HexAlphabet:
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         object.__setattr__(self, "centers", c)
+        if not isinstance(self.labels, (list, tuple)):  # a str would split
+            raise ValueError(f"labels must be a list or tuple, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
+        bad = [s for s in self.labels if not (
+            isinstance(s, str) and s.isascii() and s.splitlines() == [s]
+            and "," not in s and '"' not in s)]
+        if bad:
+            raise ValueError("labels must be non-empty ASCII strings with no "
+                             f"comma, double quote or line break, got {bad[0]!r}")
         number("cell_radius", self.cell_radius, "(0, inf)")
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
             raise ValueError(f"centers must have shape (d, 2), got {c.shape}")
@@ -263,7 +271,7 @@ class HexAlphabet:
     def from_dict(cls, data: dict) -> "HexAlphabet":
         return cls(cell_radius=data["cell_radius"],
                    centers=np.asarray(data["centers"], dtype=np.float64),
-                   labels=tuple(data["labels"]),
+                   labels=data["labels"],
                    rings=data.get("rings"))
 
 
@@ -329,14 +337,10 @@ class SourceDistribution:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=np.float64)
-        object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "labels", tuple(self.labels))
         if p.ndim != 1 or p.shape[0] != len(self.labels):
             raise ValueError("one probability per label required")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum():.12f}, expected 1")
+        object.__setattr__(self, "probabilities", distribution(p))
 
     @classmethod
     def uniform(cls, labels) -> "SourceDistribution":
@@ -351,20 +355,25 @@ class SourceDistribution:
 class ProbabilityMap:
     """Binned detection probabilities for every configuration and source char.
 
+    Built from the ``matched`` FF and II blocks and the one ``envelope`` row
+    that crossed configurations show whatever was sent.
     ``probs[config_label]`` has shape ``(n_sources, n_cells)``; entry
     ``[s, c]`` is the probability that a photon prepared as source character
     ``s`` lands in detection cell ``c``.  ``residual[config_label][s]`` is
-    the probability of landing outside every cell.  The detection region may
-    cover more cells than the source alphabet.
+    the probability of landing outside every cell.  All are read-only, and
+    IF and FI are one broadcast of the envelope row.  The detection region
+    may cover more cells than the source alphabet.
     """
 
     cell_labels: tuple[str, ...]
     cell_centers: np.ndarray
     source_labels: tuple[str, ...]
-    probs: dict[str, np.ndarray]
-    residual: dict[str, np.ndarray]
+    matched: InitVar[dict[str, np.ndarray]]
+    envelope: InitVar[np.ndarray]
+    probs: dict[str, np.ndarray] = field(init=False)
+    residual: dict[str, np.ndarray] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, matched, envelope) -> None:
         object.__setattr__(self, "cell_labels", tuple(self.cell_labels))
         object.__setattr__(self, "source_labels", tuple(self.source_labels))
         centers = np.asarray(self.cell_centers, dtype=np.float64)
@@ -372,23 +381,26 @@ class ProbabilityMap:
         nc, ns = len(self.cell_labels), len(self.source_labels)
         if centers.shape != (nc, 2):
             raise ValueError(f"expected {nc} cell centers, got {centers.shape}")
-        expected = {c.label for c in ALL_CONFIGS}
-        if set(self.probs) != expected or set(self.residual) != expected:
-            raise ValueError(f"maps must cover configurations {sorted(expected)}")
+        if set(matched) != {"FF", "II"}:
+            raise ValueError(f"matched must hold FF and II, got {sorted(matched)}")
         probs, residual = {}, {}
-        for key in expected:
-            p = np.asarray(self.probs[key], dtype=np.float64)
-            r = np.asarray(self.residual[key], dtype=np.float64)
-            if p.shape != (ns, nc) or r.shape != (ns,):
-                raise ValueError(f"bad shape for configuration {key}")
-            if np.any(p < -1e-12) or np.any(r < -1e-12):
+        given = {"FF": matched["FF"], "II": matched["II"], "envelope": envelope}
+        for key, p in given.items():
+            p = np.asarray(p, dtype=np.float64)
+            shape = (nc,) if key == "envelope" else (ns, nc)
+            if p.shape != shape:
+                raise ValueError(f"{key} must have shape {shape}, got {p.shape}")
+            p = p.reshape(-1, nc)
+            if np.any(p < -1e-12):
                 raise ValueError(f"negative probabilities in {key}")
-            total = p.sum(axis=1) + r
-            if np.any(np.abs(total - 1.0) > 1e-6):
-                raise ValueError(
-                    f"probabilities for {key} sum to {total} instead of 1")
-            probs[key] = np.clip(p, 0.0, None)
-            residual[key] = np.clip(r, 0.0, None)
+            r = 1.0 - p.sum(axis=1)
+            if np.any(r < -1e-12):
+                raise ValueError(f"{key} has a row summing above 1")
+            # Read-only views; the envelope's one row gets zero stride.
+            probs[key] = np.broadcast_to(np.clip(p, 0.0, None), (ns, nc))
+            residual[key] = np.broadcast_to(np.clip(r, 0.0, None), (ns,))
+        probs["IF"] = probs["FI"] = probs.pop("envelope")
+        residual["IF"] = residual["FI"] = residual.pop("envelope")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "residual", residual)
 
@@ -517,13 +529,14 @@ def leakage_check(maps: ProbabilityMap, eps: float = 1e-4) -> list[RiskyCell]:
     """Flag detection cells supported in only one of the two bases.
 
     For each cell the matched support is the largest FF or II probability
-    over source characters, the conjugate support the largest IF or FI
-    probability.  Cells with one support at or above ``eps`` and the other
-    below are returned; a sound alphabet yields an empty list.
+    over source characters, the conjugate support the envelope's
+    probability, which IF and FI share whatever was sent.  Cells with one
+    support at or above ``eps`` and the other below are returned; a sound
+    alphabet yields an empty list.
     """
     number("eps", eps, "(0, inf)")
     matched = np.maximum(maps.probs["FF"].max(axis=0), maps.probs["II"].max(axis=0))
-    conj = np.maximum(maps.probs["IF"].max(axis=0), maps.probs["FI"].max(axis=0))
+    conj = maps.probs["IF"][0]
     flagged = []
     for j, label in enumerate(maps.cell_labels):
         if conj[j] >= eps and matched[j] < eps:

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize, special
 
-from ._checks import count, number
+from ._checks import count, distribution, number
 
 __all__ = [
     "CLONING_ATTACK_ERROR_BOUND",
@@ -57,26 +57,15 @@ CLONING_ATTACK_ERROR_BOUND = 0.42
 _LN2 = np.log(2.0)
 
 
-def _check_distribution(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("expected a one-dimensional probability vector")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum():.12f}, expected 1")
-    return p
-
-
 def shannon_entropy(p) -> float:
     """Entropy of a distribution in bits; zero entries contribute nothing."""
-    p = _check_distribution(p)
+    p = distribution(p)
     return float(-special.xlogy(p, p).sum() / _LN2) + 0.0
 
 
 def intercept_resend_errors(p, eta: float) -> np.ndarray:
     """Per-character error rates caused by intercepting a fraction ``eta``."""
-    p = _check_distribution(p)
+    p = distribution(p)
     number("eta", eta, "[0, 1]")
     return 0.5 * eta * (1.0 - p)
 
@@ -108,7 +97,7 @@ def info_ab(p, errors) -> float:
     ``errors`` may be a scalar or one rate per character.  Requires every
     ``P_k`` below 1 so the error redistribution is well defined.
     """
-    p = _check_distribution(p)
+    p = distribution(p)
     e = _broadcast_errors(p, errors)
     if p.size > 1 and np.any(p >= 1.0):
         raise ValueError("degenerate distribution with a certain character")
@@ -135,7 +124,7 @@ def mutual_information_exact(p, errors) -> float:
     Oracle for :func:`info_ab`: identical when the receiver marginal equals
     ``P``, which holds for a uniform source with symmetric errors.
     """
-    p = _check_distribution(p)
+    p = distribution(p)
     e = _broadcast_errors(p, errors)
     if p.size == 1:
         return 0.0
@@ -152,7 +141,7 @@ def mutual_information_exact(p, errors) -> float:
 
 def info_eve(p, eta: float) -> float:
     """Intercept-resend eavesdropper information, ``(eta / 2) H(P)`` bits."""
-    p = _check_distribution(p)
+    p = distribution(p)
     number("eta", eta, "[0, 1]")
     return 0.5 * eta * shannon_entropy(p)
 
@@ -186,7 +175,7 @@ def security_crossover(p, xtol: float = 1e-6) -> CrossoverResult:
     ``eta``; the result does not depend on a starting guess.  Below the
     crossover the stations hold more information than the attacker.
     """
-    p = _check_distribution(p)
+    p = distribution(p)
 
     def gap(eta: float) -> float:
         return info_ab(p, intercept_resend_errors(p, eta)) - info_eve(p, eta)
@@ -231,7 +220,7 @@ class InfoReport:
 
 def security_report(p, eta: float) -> InfoReport:
     """Evaluate both sides of the information balance at one intercept level."""
-    p = _check_distribution(p)
+    p = distribution(p)
     errors = intercept_resend_errors(p, eta)
     ab = info_ab(p, errors)
     eve = info_eve(p, eta)

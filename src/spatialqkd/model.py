@@ -140,30 +140,23 @@ class GaussianModel:
     def probability_table(self) -> ProbabilityMap:
         """Cell probabilities for all configurations and source characters.
 
-        Computed once per model by hexagon quadrature and cached.  Crossed
-        configurations share one envelope distribution, so IF and FI are
-        both built from one read-only broadcast of the envelope row.
+        Computed once per model by hexagon quadrature and cached: the FF and
+        II blocks and the one envelope row that crossed configurations share.
         """
         if self._table is not None:
             return self._table
         region = self.region
         polys = hex_vertices(region.centers, region.cell_radius)
-        ns = self.alphabet.d
-        nc = region.d
-        w_ap = self.aperture_waist
-        ff = np.empty((ns, nc))
-        ii = np.empty((ns, nc))
-        for k in range(ns):
-            center = self.alphabet.centers[k]
-            ff[k] = gaussian_polygon_integral(center, w_ap, polys)
-            ii[k] = gaussian_polygon_integral(-center, w_ap, polys)
-        crossed = np.broadcast_to(self._envelope_masses(), (ns, nc))
-        probs = {"FF": ff, "II": ii, "IF": crossed, "FI": crossed}
-        residual = {key: 1.0 - p.sum(axis=1) for key, p in probs.items()}
+        ff = np.empty((self.alphabet.d, region.d))
+        ii = np.empty_like(ff)
+        for k, center in enumerate(self.alphabet.centers):
+            ff[k] = gaussian_polygon_integral(center, self.aperture_waist, polys)
+            ii[k] = gaussian_polygon_integral(-center, self.aperture_waist, polys)
         self._table = ProbabilityMap(cell_labels=region.labels,
                                      cell_centers=region.centers,
                                      source_labels=self.alphabet.labels,
-                                     probs=probs, residual=residual)
+                                     matched={"FF": ff, "II": ii},
+                                     envelope=self._envelope_masses())
         return self._table
 
     def source(self) -> SourceDistribution:

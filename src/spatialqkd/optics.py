@@ -38,7 +38,6 @@ __all__ = [
     "grid_coords",
     "hexagon_mask",
     "make_aperture_field",
-    "angular_spectrum",
     "propagate_chain",
     "point_inverted",
     "arm_chain",
@@ -372,19 +371,6 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
                        f"(grid step {step:g})")
 
 
-def angular_spectrum(field: OpticalField) -> OpticalField:
-    """Centered discrete Fourier transform of the field over spatial frequency.
-
-    The output grid spans ``q`` in steps of ``pi / extent``; the scaling
-    ``step**2 / (2 pi)`` makes the transform exactly unitary, so input and
-    output powers agree to machine precision.
-    """
-    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field.samples)))
-    out = ft * (field.step ** 2 / (2.0 * np.pi))
-    q_extent = field.n * np.pi / (2.0 * field.extent)
-    return OpticalField(out, q_extent, field.wavelength)
-
-
 def _lens_step(field: OpticalField, focal: float) -> OpticalField:
     """One confocal lens: optical Fourier transform onto a rescaled grid."""
     ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field.samples)))
@@ -471,8 +457,7 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
     configurations give the aperture's Fourier transform evaluated at
     ``q = k rho / f_F``, with ``f_F`` the Fourier-arm focal length; for a
     Gaussian aperture this is evaluated in closed form (including the tilt
-    phase from the displacement), other shapes fall back on one discrete
-    transform.
+    phase from the displacement), other shapes fall back on one lens step.
 
     Returns a unit-power field on the same grid that ``propagate_chain`` over
     :func:`full_chain` would produce.
@@ -492,7 +477,7 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
         amp = np.outer(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
                        np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy))
     else:
-        amp = angular_spectrum(make_aperture_field(spec, geom)).samples
+        amp = _lens_step(make_aperture_field(spec, geom), f_f).samples
     return _unit_field(amp, out_extent, geom.wavelength)
 
 

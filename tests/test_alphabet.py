@@ -89,6 +89,17 @@ class TestConstruction:
         for rings in ("many", 5):  # 5 rings would be 91 cells, not 37
             with pytest.raises(ValueError, match="rings"):
                 HexAlphabet.from_dict({**_BASE37.to_dict(), "rings": rings})
+        seven = build_hex_alphabet(1, 200e-6).to_dict()
+        for labels in ([0, 1, 2, 3, 4, 5, 6], "abcdefg",
+                       ["a,b", "1", "2", "3", "4", "5", "6"],
+                       ["\u00e9", "1", "2", "3", "4", "5", "6"],
+                       ['"', "1", "2", "3", "4", "5", "6"],
+                       ["a\nb", "1", "2", "3", "4", "5", "6"],
+                       ["\r", "1", "2", "3", "4", "5", "6"],
+                       ["", "1", "2", "3", "4", "5", "6"]):
+            with pytest.raises(ValueError, match="labels must be (a|non)"):
+                HexAlphabet.from_dict({**seven, "labels": labels})
+        assert HexAlphabet.from_dict(seven).labels == tuple("0123456")
 
     def test_inverse_index(self, alphabet37):
         for i in range(alphabet37.d):
@@ -267,39 +278,62 @@ class TestSourceDistribution:
             SourceDistribution(("a", "b"), np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             SourceDistribution(("a", "b"), np.array([1.2, -0.2]))
+        with pytest.raises(ValueError, match="one probability per label"):
+            SourceDistribution(("a", "b"), np.array([1.0]))
+        for bad in ([np.nan, np.nan], [np.inf, -np.inf], [1.0, np.inf],
+                    [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                SourceDistribution(("a", "b"), np.array(bad))
 
 
 class TestProbabilityMap:
     def test_validation_errors(self, model37):
         table = model37.probability_table()
-        bad_probs = {k: v.copy() for k, v in table.probs.items()}
-        bad_probs["FF"] = bad_probs["FF"][:, :-1]
-        with pytest.raises(ValueError):
-            ProbabilityMap(table.cell_labels, table.cell_centers,
-                           table.source_labels, bad_probs,
-                           {k: v.copy() for k, v in table.residual.items()})
-        with pytest.raises(ValueError):
-            ProbabilityMap(table.cell_labels, table.cell_centers,
-                           table.source_labels,
-                           {k: v.copy() for k, v in table.probs.items()
-                            if k != "IF"},
-                           {k: v.copy() for k, v in table.residual.items()})
+        matched = {k: table.probs[k].copy() for k in ("FF", "II")}
+        envelope = table.probs["IF"][0].copy()
+
+        def build(matched=matched, envelope=envelope):
+            return ProbabilityMap(table.cell_labels, table.cell_centers,
+                                  table.source_labels, matched, envelope)
+
+        build()  # the unchanged inputs are accepted
+        with pytest.raises(ValueError, match=r"FF must have shape \(37, 37\)"):
+            build({**matched, "FF": matched["FF"][:, :-1]})
+        with pytest.raises(ValueError, match="matched must hold FF and II"):
+            build({"FF": matched["FF"]})
+        with pytest.raises(ValueError, match="matched must hold FF and II"):
+            build({**matched, "IF": matched["FF"]})
+        with pytest.raises(ValueError, match=r"envelope must have shape \(37,\)"):
+            build(envelope=table.probs["IF"])
+        negative = matched["II"].copy()
+        negative[3, 5] = -1e-9
+        with pytest.raises(ValueError, match="negative probabilities in II"):
+            build({**matched, "II": negative})
+        with pytest.raises(ValueError, match="envelope has a row summing above 1"):
+            build(envelope=envelope * 1.5)
+        with pytest.raises(ValueError, match="cell centers"):
+            ProbabilityMap(table.cell_labels, table.cell_centers[:-1],
+                           table.source_labels, matched, envelope)
 
     def test_leaves_caller_dicts_alone(self, model37):
         table = model37.probability_table()
-        probs = {k: v.copy() for k, v in table.probs.items()}
-        residual = {k: v.copy() for k, v in table.residual.items()}
-        probs["FF"][0, -1] = -1e-13  # within tolerance, clipped to zero
-        before = {k: v.copy() for k, v in probs.items()}
-        arrays = dict(probs)
+        matched = {k: table.probs[k].copy() for k in ("FF", "II")}
+        envelope = table.probs["IF"][0].copy()
+        matched["FF"][0, -1] = -1e-13  # within tolerance, clipped to zero
+        envelope[-1] = -1e-13
+        before = {k: v.copy() for k, v in matched.items()}
+        before_envelope = envelope.copy()
+        arrays = dict(matched)
         built = ProbabilityMap(table.cell_labels, table.cell_centers,
-                               table.source_labels, probs, residual)
+                               table.source_labels, matched, envelope)
         assert built.probs["FF"][0, -1] == 0.0
-        for key in probs:
-            assert probs[key] is arrays[key]
-            assert np.array_equal(probs[key], before[key])
-            assert probs[key] is not built.probs[key]
-            assert residual[key] is not built.residual[key]
+        assert np.all(built.probs["IF"][:, -1] == 0.0)
+        assert np.array_equal(envelope, before_envelope)
+        assert not np.shares_memory(built.probs["IF"], envelope)
+        for key in matched:
+            assert matched[key] is arrays[key]
+            assert np.array_equal(matched[key], before[key])
+            assert not np.shares_memory(built.probs[key], matched[key])
 
     def test_column_lookup(self, model37, alphabet37):
         table = model37.probability_table()

@@ -130,6 +130,16 @@ class TestGaussianModel:
             total = table.probs[label].sum(axis=1) + table.residual[label]
             assert np.allclose(total, 1.0, atol=1e-9)
 
+    def test_table_stores_one_envelope_row(self, model37):
+        table = model37.probability_table()
+        assert np.shares_memory(table.probs["IF"], table.probs["FI"])
+        assert table.probs["IF"].strides[0] == 0
+        assert table.residual["IF"].strides[0] == 0
+        for arrays in (table.probs, table.residual):
+            assert sorted(arrays) == ["FF", "FI", "IF", "II"]
+            for key, array in arrays.items():
+                assert not array.flags.writeable, key
+
     def test_matched_diagonal(self, model37):
         table = model37.probability_table()
         diag = np.diag(table.probs["FF"])
