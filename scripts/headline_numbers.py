@@ -42,7 +42,7 @@ def main() -> int:
     alphabet = cfg.build_alphabet()
     model = cfg.build_model(alphabet)
     table = model.probability_table()
-    probs = np.asarray(model.source().probabilities)
+    probs = model.source()
 
     print("alphabet")
     print(f"  characters            {alphabet.d}")

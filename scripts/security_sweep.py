@@ -44,7 +44,7 @@ def main() -> int:
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    probs = ExperimentConfig().build_model().source().probabilities
+    probs = ExperimentConfig().build_model().source()
     etas = np.linspace(0.0, 1.0, args.points)
     reports = [security_report(probs, float(eta)) for eta in etas]
     cross = security_crossover(probs)

@@ -16,14 +16,13 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._checks import count, distribution, number
+from ._checks import count, number
 from ._csv import float_fields, write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
 
 __all__ = [
     "HexAlphabet",
-    "SourceDistribution",
     "ProbabilityMap",
     "RiskyCell",
     "build_hex_alphabet",
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _LABEL_CHARS = string.digits + string.ascii_uppercase + string.ascii_lowercase
+_RESIDUAL = "(residual)"  # cell char of the outside-all-cells CSV row
 
 #: Distances to two centers that agree within this fraction of the lattice
 #: spacing are a tie, resolved to the lowest index (the tolerance of
@@ -104,7 +104,8 @@ class HexAlphabet:
     centers : ndarray of shape (d, 2)
         Cell centers.
     labels : list or tuple of str
-        One per cell, unique, non-empty ASCII, no comma, quote or line break.
+        One per cell, unique, non-empty ASCII, no comma, quote or line break,
+        and not ``(residual)``.
     rings : int or None
         Number of complete rings when the alphabet was built that way;
         ``d`` is then ``1 + 3 * rings * (rings + 1)``.
@@ -123,10 +124,11 @@ class HexAlphabet:
         object.__setattr__(self, "labels", tuple(self.labels))
         bad = [s for s in self.labels if not (
             isinstance(s, str) and s.isascii() and s.splitlines() == [s]
-            and "," not in s and '"' not in s)]
+            and "," not in s and '"' not in s and s != _RESIDUAL)]
         if bad:
-            raise ValueError("labels must be non-empty ASCII strings with no "
-                             f"comma, double quote or line break, got {bad[0]!r}")
+            raise ValueError("labels must be non-empty ASCII strings other than "
+                             f"{_RESIDUAL} with no comma, double quote or line "
+                             f"break, got {bad[0]!r}")
         number("cell_radius", self.cell_radius, "(0, inf)")
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
             raise ValueError(f"centers must have shape (d, 2), got {c.shape}")
@@ -329,29 +331,6 @@ def calibrate_envelope(alphabet: HexAlphabet, containment: float = 0.99) -> floa
 
 
 @dataclass(frozen=True, eq=False)
-class SourceDistribution:
-    """Probability of each character at the source."""
-
-    labels: tuple[str, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if p.ndim != 1 or p.shape[0] != len(self.labels):
-            raise ValueError("one probability per label required")
-        object.__setattr__(self, "probabilities", distribution(p))
-
-    @classmethod
-    def uniform(cls, labels) -> "SourceDistribution":
-        labels = tuple(labels)
-        return cls(labels, np.full(len(labels), 1.0 / len(labels)))
-
-    def as_dict(self) -> dict[str, float]:
-        return {lab: float(p) for lab, p in zip(self.labels, self.probabilities)}
-
-
-@dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """Binned detection probabilities for every configuration and source char.
 
@@ -416,7 +395,7 @@ class ProbabilityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Rows ``config,sent_char,cell_char,probability``; the row with
         cell char ``(residual)`` holds the outside-all-cells probability."""
-        cells = np.array(self.cell_labels + ("(residual)",), dtype=object)
+        cells = np.array(self.cell_labels + (_RESIDUAL,), dtype=object)
         # One block per configuration and source: its cells, then residual.
         write_csv(path, ("config", "sent_char", "cell_char", "probability"),
                   ((np.full(cells.size, cfg.label, dtype=object),
@@ -558,9 +537,11 @@ def prune_alphabet(alphabet: HexAlphabet, labels) -> HexAlphabet:
     """Remove the given characters and their point-reflected partners.
 
     Keeping the alphabet closed under point reflection preserves the
-    imaging-basis decode symmetry.  Raises if a label is unknown or if
-    nothing would remain.
+    imaging-basis decode symmetry.  ``labels`` is a list or tuple; raises if
+    a label is unknown or if nothing would remain.
     """
+    if not isinstance(labels, (list, tuple)):  # a str would split
+        raise ValueError(f"labels must be a list or tuple, got {labels!r}")
     drop = set()
     for label in labels:
         i = alphabet.index_of(label)

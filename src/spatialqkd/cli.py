@@ -180,7 +180,7 @@ def cmd_security(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     count("--eta-points", args.eta_points, 2, ConfigError)
-    probs = cfg.build_model().source().probabilities
+    probs = cfg.build_model().source()
     etas = np.linspace(0.0, 1.0, args.eta_points)
     reports = [security_report(probs, float(eta)) for eta in etas]
     cross = security_crossover(probs)
@@ -222,7 +222,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     rows = []
     for radius in args.cell_radius:
         packed = build_packed_alphabet(envelope_radius, radius)
-        entropy = shannon_entropy(GaussianModel(packed).source().probabilities)
+        entropy = shannon_entropy(GaussianModel(packed).source())
         rows.append({
             "cell_radius": radius,
             "alphabet_size": packed.d,

@@ -19,8 +19,7 @@ import numpy as np
 from scipy import special
 
 from ._checks import number
-from .alphabet import (HexAlphabet, ProbabilityMap, SourceDistribution,
-                       calibrate_envelope)
+from .alphabet import HexAlphabet, ProbabilityMap, calibrate_envelope
 from .optics import Basis, BasisConfig, Geometry, IntensityMap, grid_coords
 
 __all__ = [
@@ -159,8 +158,8 @@ class GaussianModel:
                                      envelope=self._envelope_masses())
         return self._table
 
-    def source(self) -> SourceDistribution:
-        """Character distribution induced by the crossed-basis envelope.
+    def source(self) -> np.ndarray:
+        """Character probabilities induced by the crossed-basis envelope.
 
         The envelope's mass in each cell, clipped at zero and renormalized
         over the cells: the distribution crossed-basis detections follow,
@@ -181,7 +180,7 @@ class GaussianModel:
         total = mixed.sum()
         if total <= 0:
             raise ValueError("envelope carries no probability over the alphabet")
-        return SourceDistribution(self.region.labels, mixed / total)
+        return mixed / total
 
     def intensity_grid(self, config: BasisConfig,
                        source_index: int) -> IntensityMap:

@@ -15,7 +15,7 @@ and rescales the grid half-extent to ``lam * f * n / (4 * extent)``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "BASIS_BY_CODE",
     "Geometry",
     "ApertureSpec",
-    "LensChain",
     "OpticalField",
     "IntensityMap",
     "GeometryError",
@@ -41,7 +40,6 @@ __all__ = [
     "propagate_chain",
     "point_inverted",
     "arm_chain",
-    "channel_chain",
     "full_chain",
     "analytic_amplitude",
     "detection_probability_map",
@@ -178,37 +176,6 @@ class ApertureSpec:
 
     def displaced(self, center) -> "ApertureSpec":
         return replace(self, center=(float(center[0]), float(center[1])))
-
-
-@dataclass(frozen=True)
-class LensChain:
-    """Sequence of confocal lenses forming one arm of the apparatus.
-
-    ``role`` records which arm the chain implements and constrains the
-    focal-length structure: imaging arms are two equal lenses, Fourier arms a
-    single lens, and the channel a two-lens relay.
-    """
-
-    focal_lengths: tuple[float, ...]
-    role: str
-
-    _ROLES = ("alice_I", "alice_F", "bob_I", "bob_F", "channel")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "focal_lengths", tuple(
-            number("focal length", f, "(0, inf)", GeometryError)
-            for f in self.focal_lengths))
-        if self.role not in self._ROLES:
-            raise GeometryError(f"unknown chain role {self.role!r}")
-        n = len(self.focal_lengths)
-        if self.role in ("alice_F", "bob_F"):
-            if n != 1:
-                raise GeometryError(f"{self.role} arm must hold exactly one lens")
-        else:
-            if n != 2 or self.focal_lengths[0] != self.focal_lengths[1]:
-                raise GeometryError(
-                    f"{self.role} arm must hold two equal lenses, "
-                    f"got {self.focal_lengths}")
 
 
 def grid_coords(n: int, extent: float) -> np.ndarray:
@@ -400,22 +367,22 @@ def _check_contained(field: OpticalField, where: str) -> None:
             f"grid extent or refine the sampling")
 
 
-def propagate_chain(field: OpticalField,
-                    chain: LensChain | tuple | list) -> OpticalField:
-    """Propagate a field through one or more lens chains, in order.
+def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
+    """Propagate a field through confocal lenses of the given focal lengths.
 
     Each lens applies one optical Fourier transform with grid rescaling.  The
     input field and the output of every lens must keep essentially all power
-    away from the grid border; otherwise :class:`SamplingError` is raised with
-    a diagnostic of where containment failed.
+    away from the grid border; otherwise :class:`SamplingError` is raised
+    naming the lens after which containment failed.
     """
-    chains = (chain,) if isinstance(chain, LensChain) else tuple(chain)
+    focal_lengths = tuple(number("focal length", f, "(0, inf)", GeometryError)
+                          for f in focal_lengths)
     _check_contained(field, "at the chain input")
     out = field
-    for c in chains:
-        for idx, f in enumerate(c.focal_lengths):
-            out = _lens_step(out, f)
-            _check_contained(out, f"after lens {idx + 1} of arm {c.role}")
+    for idx, f in enumerate(focal_lengths):
+        out = _lens_step(out, f)
+        _check_contained(out, f"after lens {idx + 1} of {len(focal_lengths)} "
+                              f"(focal length {f:g} m)")
     return out
 
 
@@ -429,23 +396,20 @@ def point_inverted(field: OpticalField) -> OpticalField:
     return OpticalField(inv, field.extent, field.wavelength)
 
 
-def arm_chain(party: str, basis: Basis, geom: Geometry) -> LensChain:
-    """The arm of one station, ``party`` "alice" or "bob", in one basis."""
+def arm_chain(basis: Basis, geom: Geometry) -> tuple[float, ...]:
+    """Focal lengths of one station's arm: two equal lenses to image, one of
+    twice their focal length to Fourier transform."""
     if basis == Basis.I:
-        f = geom.imaging_focal
-        return LensChain((f, f), f"{party}_I")
-    return LensChain((geom.fourier_focal,), f"{party}_F")
+        return (geom.imaging_focal, geom.imaging_focal)
+    return (geom.fourier_focal,)
 
 
-def channel_chain(geom: Geometry) -> LensChain:
-    f = geom.channel_focal
-    return LensChain((f, f), "channel")
-
-
-def full_chain(config: BasisConfig, geom: Geometry) -> tuple[LensChain, ...]:
-    """The three arms photon traverses: Alice's, the channel relay, Bob's."""
-    return (arm_chain("alice", config.alice, geom), channel_chain(geom),
-            arm_chain("bob", config.bob, geom))
+def full_chain(config: BasisConfig, geom: Geometry) -> tuple[float, ...]:
+    """Focal lengths a photon traverses: Alice's arm, the two-lens channel
+    relay, Bob's arm."""
+    return (arm_chain(config.alice, geom)
+            + (geom.channel_focal, geom.channel_focal)
+            + arm_chain(config.bob, geom))
 
 
 def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,

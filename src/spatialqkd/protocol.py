@@ -25,7 +25,6 @@ import numpy as np
 from ._checks import number
 from ._csv import code_fields, flag_fields, row_blocks, write_csv
 from .adversary import attack_batch, eve_information_estimate
-from .alphabet import SourceDistribution
 from .model import GaussianModel
 from .optics import BASIS_BY_CODE, BasisConfig
 
@@ -317,10 +316,9 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     alphabet = config.build_alphabet()
     model = config.build_model(alphabet)
     if config.session.source == "uniform":
-        source = SourceDistribution.uniform(alphabet.labels)
+        probs = np.full(alphabet.d, 1.0 / alphabet.d)
     else:
-        source = model.source()
-    probs = source.probabilities
+        probs = model.source()
     noise = config.noise
     adv = config.adversary
     n = config.session.rounds

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -29,10 +28,5 @@ def model37(alphabet37, geometry):
 
 
 @pytest.fixture(scope="session")
-def source37(model37):
+def probs37(model37):
     return model37.source()
-
-
-@pytest.fixture(scope="session")
-def probs37(source37):
-    return np.asarray(source37.probabilities)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
-                                 SourceDistribution, bin_probabilities,
-                                 build_hex_alphabet, build_packed_alphabet,
-                                 calibrate_envelope, leakage_check,
-                                 load_alphabet, prune_alphabet, save_alphabet)
+                                 bin_probabilities, build_hex_alphabet,
+                                 build_packed_alphabet, calibrate_envelope,
+                                 leakage_check, load_alphabet, prune_alphabet,
+                                 save_alphabet)
 from spatialqkd.model import GaussianModel, hex_vertices
 from spatialqkd.optics import (ALL_CONFIGS, BASIS_BY_CODE, BasisConfig,
                                Geometry, IntensityMap, hexagon_mask)
@@ -96,7 +96,8 @@ class TestConstruction:
                        ['"', "1", "2", "3", "4", "5", "6"],
                        ["a\nb", "1", "2", "3", "4", "5", "6"],
                        ["\r", "1", "2", "3", "4", "5", "6"],
-                       ["", "1", "2", "3", "4", "5", "6"]):
+                       ["", "1", "2", "3", "4", "5", "6"],
+                       ["(residual)", "1", "2", "3", "4", "5", "6"]):
             with pytest.raises(ValueError, match="labels must be (a|non)"):
                 HexAlphabet.from_dict({**seven, "labels": labels})
         assert HexAlphabet.from_dict(seven).labels == tuple("0123456")
@@ -261,29 +262,13 @@ class TestPrune:
     def test_unknown_label(self, alphabet37):
         with pytest.raises(KeyError):
             prune_alphabet(alphabet37, ["z9"])
+        with pytest.raises(ValueError, match="labels must be a list"):
+            prune_alphabet(alphabet37, "12")  # not "1" and "2"
 
     def test_cannot_empty(self):
         alph = build_hex_alphabet(0, 200e-6)
         with pytest.raises(ValueError):
             prune_alphabet(alph, ["0"])
-
-
-class TestSourceDistribution:
-    def test_uniform(self):
-        s = SourceDistribution.uniform(("a", "b", "c"))
-        assert np.allclose(s.probabilities, 1 / 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SourceDistribution(("a", "b"), np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            SourceDistribution(("a", "b"), np.array([1.2, -0.2]))
-        with pytest.raises(ValueError, match="one probability per label"):
-            SourceDistribution(("a", "b"), np.array([1.0]))
-        for bad in ([np.nan, np.nan], [np.inf, -np.inf], [1.0, np.inf],
-                    [np.nan, 1.0]):
-            with pytest.raises(ValueError, match="finite and non-negative"):
-                SourceDistribution(("a", "b"), np.array(bad))
 
 
 class TestProbabilityMap:

@@ -1,4 +1,8 @@
+import contextlib
 import importlib
+import io
+import pathlib
+import re
 
 import pytest
 
@@ -6,6 +10,7 @@ import spatialqkd
 
 MODULES = ("adversary", "alphabet", "cli", "config", "infotheory", "model",
            "optics", "protocol")
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", ("spatialqkd",) + MODULES)
@@ -15,3 +20,12 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text("utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, str(README), "exec"), {})

@@ -33,6 +33,10 @@ class TestEntropy:
             shannon_entropy(np.array([1.5, -0.5]))
         with pytest.raises(ValueError):
             shannon_entropy(np.eye(2))
+        for bad in ([np.nan, np.nan], [np.inf, -np.inf], [1.0, np.inf],
+                    [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                shannon_entropy(np.array(bad))
 
     def test_source_entropy_frozen(self, probs37):
         assert shannon_entropy(probs37) == pytest.approx(4.655660, abs=1e-5)

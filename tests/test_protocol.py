@@ -58,7 +58,7 @@ class TestPrepareAndMeasure:
         n_f = int((log.alice_basis == F).sum())
         assert abs(n_f - 1000) < 5 * np.sqrt(2000 * 0.25)
         n_center = int((log.sent == log.labels.index("0")).sum())
-        p0 = cfg.build_model().source().probabilities[0]
+        p0 = cfg.build_model().source()[0]
         assert abs(n_center - 2000 * p0) < 5 * np.sqrt(2000 * p0 * (1 - p0))
 
     def test_bob_measure_matched_mostly_correct(self, model37):
