@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spatialqkd._checks import distribution
 from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
                                  bin_probabilities, build_hex_alphabet,
                                  build_packed_alphabet, calibrate_envelope,
@@ -269,6 +270,16 @@ class TestPrune:
         alph = build_hex_alphabet(0, 200e-6)
         with pytest.raises(ValueError):
             prune_alphabet(alph, ["0"])
+
+
+class TestSourceDistribution:
+    def test_validation(self, model37):
+        # A source is a plain probability vector held to the shared rule.
+        assert np.array_equal(distribution(model37.source()), model37.source())
+        with pytest.raises(ValueError, match="sum to"):
+            distribution(np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            distribution(np.array([1.2, -0.2]))
 
 
 class TestProbabilityMap:
