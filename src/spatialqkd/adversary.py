@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._checks import number
-from ._csv import code_fields, flag_fields, row_blocks, write_csv
+from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
 from .optics import BASIS_BY_CODE
 
 if TYPE_CHECKING:
@@ -41,7 +41,7 @@ __all__ = [
 
 STRATEGIES = ("none", "intercept_resend", "suppress_on_evidence")
 
-#: CSV field per basis code.
+#: CSV field per basis code, with the empty field at code -1.
 _BASIS_FIELDS = code_fields(b.value for b in BASIS_BY_CODE)
 
 
@@ -162,10 +162,11 @@ def eve_information_estimate(matched: np.ndarray, measured_idx: np.ndarray,
 def eve_log_to_csv(path, round_index: np.ndarray, basis_code: np.ndarray,
                    measured_idx: np.ndarray, dropped: np.ndarray,
                    labels: tuple[str, ...]) -> None:
-    """Write the attacker's records: round, basis, measured char, dropped;
-    row ``i`` of every column describes round ``round_index[i]``."""
+    """Write the attacker's records: round, basis, measured char, dropped
+    (a boolean mask); row ``i`` of every column is round ``round_index[i]``."""
     chars = code_fields(labels)
     write_csv(path, ("round", "basis", "measured_char", "dropped"),
-              ((round_index[b].astype(str), _BASIS_FIELDS[basis_code[b]],
-                chars[measured_idx[b]], flag_fields(dropped[b]))
+              "%d,%s,%s,%s\n",
+              ((round_index[b], _BASIS_FIELDS[basis_code[b]],
+                chars[measured_idx[b]], FLAG_FIELDS[dropped[b].view(np.int8)])
                for b in row_blocks(round_index.shape[0])))

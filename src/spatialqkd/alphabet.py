@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._checks import count, number
-from ._csv import float_fields, write_csv
+from ._csv import write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
 
@@ -398,10 +398,11 @@ class ProbabilityMap:
         cells = np.array(self.cell_labels + (_RESIDUAL,), dtype=object)
         # One block per configuration and source: its cells, then residual.
         write_csv(path, ("config", "sent_char", "cell_char", "probability"),
+                  "%s,%s,%s,%.12e\n",
                   ((np.full(cells.size, cfg.label, dtype=object),
                     np.full(cells.size, sent, dtype=object), cells,
-                    float_fields(np.append(self.probs[cfg.label][s],
-                                           self.residual[cfg.label][s])))
+                    np.append(self.probs[cfg.label][s],
+                              self.residual[cfg.label][s]))
                    for cfg in ALL_CONFIGS
                    for s, sent in enumerate(self.source_labels)))
 

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from ._checks import count
+from ._csv import write_csv
 from .adversary import eve_log_to_csv
 from .alphabet import build_packed_alphabet, save_alphabet
 from .config import ConfigError, ExperimentConfig
@@ -185,18 +186,18 @@ def cmd_security(args: argparse.Namespace) -> int:
     reports = [security_report(probs, float(eta)) for eta in etas]
     cross = security_crossover(probs)
 
-    with open(os.path.join(out, "security.csv"), "w", encoding="ascii") as fh:
-        fh.write("eta,average_error,info_ab_bits,info_ab_exact_bits,"
-                 "info_eve_bits,secure\n")
-        for r in reports:
-            fh.write(f"{r.eta:.6f},{r.average_error:.6f},{r.info_ab:.6f},"
-                     f"{r.info_ab_exact:.6f},{r.info_eve:.6f},{int(r.secure)}\n")
+    points = [r.as_dict() for r in reports]
+    header = ("eta", "average_error", "info_ab_bits", "info_ab_exact_bits",
+              "info_eve_bits", "secure")
+    write_csv(os.path.join(out, "security.csv"), header,
+              "%.6f,%.6f,%.6f,%.6f,%.6f,%d\n",
+              [[np.array([p[name] for p in points]) for name in header]])
     payload = {
         "alphabet_size": reports[0].alphabet_size,
         "source_entropy_bits": reports[0].source_entropy,
         "crossover": cross.as_dict(),
         "cloning_attack_error_bound": CLONING_ATTACK_ERROR_BOUND,
-        "points": [r.as_dict() for r in reports],
+        "points": points,
     }
     with open(os.path.join(out, "security.json"), "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

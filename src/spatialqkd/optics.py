@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import count, number
-from ._csv import float_fields, row_blocks, write_csv
+from ._csv import row_blocks, write_csv
 
 __all__ = [
     "Basis",
@@ -272,9 +272,8 @@ class IntensityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write rows ``row,col,value`` where row indexes x and col indexes y."""
         n, flat = self.n, self.values.ravel()
-        write_csv(path, ("row", "col", "value"),
-                  (((k // n).astype(str), (k % n).astype(str),
-                    float_fields(flat[k])) for k in row_blocks(flat.size)))
+        write_csv(path, ("row", "col", "value"), "%d,%d,%.12e\n",
+                  ((k // n, k % n, flat[k]) for k in row_blocks(flat.size)))
 
     def to_pgm(self, path: str | os.PathLike) -> None:
         """Write an 8-bit binary PGM image, linearly scaled to the map peak."""

@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._checks import number
-from ._csv import code_fields, flag_fields, row_blocks, write_csv
-from .adversary import attack_batch, eve_information_estimate
+from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
+from .adversary import _BASIS_FIELDS, attack_batch, eve_information_estimate
 from .model import GaussianModel
-from .optics import BASIS_BY_CODE, BasisConfig
+from .optics import BasisConfig
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -50,9 +50,6 @@ MIN_SAMPLES_PER_CHAR = 30
 
 _ESTIMATE_STREAM = 0x5E1F
 _FLATTEN_STREAM = 0xF1A7
-
-#: CSV field per basis code, with the empty field at code -1.
-_BASIS_FIELDS = code_fields(b.value for b in BASIS_BY_CODE)
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,17 @@ class SessionLog:
 
         def fields(b: np.ndarray):
             hit = self.attacked[b]
-            return (b.astype(str), _BASIS_FIELDS[self.alice_basis[b]],
+            return (b, _BASIS_FIELDS[self.alice_basis[b]],
                     _BASIS_FIELDS[self.bob_basis[b]],
                     chars[self.sent[b]], chars[self.received[b]],
-                    flag_fields(hit),
+                    FLAG_FIELDS[hit.view(np.int8)],
                     _BASIS_FIELDS[np.where(hit, self.eve_basis[b], -1)],
                     chars[np.where(hit, self.eve_measured[b], -1)],
-                    flag_fields(self.eve_dropped[b]))
+                    FLAG_FIELDS[self.eve_dropped[b].view(np.int8)])
 
         write_csv(path, ("round", "alice_basis", "bob_basis", "sent",
                          "received", "attacked", "eve_basis", "eve_measured",
-                         "eve_dropped"),
+                         "eve_dropped"), "%d,%s,%s,%s,%s,%s,%s,%s,%s\n",
                   (fields(b) for b in row_blocks(len(self))))
 
 

@@ -163,3 +163,12 @@ def airy_amplitude_2d(coords: np.ndarray, k: float, focal: float,
     qa = k * np.hypot(x, y) / focal * radius
     safe = np.where(qa > 0, qa, 1.0)
     return np.abs(np.where(qa > 0, 2.0 * special.j1(safe) / safe, 1.0))
+
+
+def csv_text_reference(header, blocks) -> str:
+    """CSV text built field by field: each block is a tuple of columns of
+    field strings, and each row is their comma join."""
+    lines = [",".join(header) + "\n"]
+    for columns in blocks:
+        lines += [",".join(row) + "\n" for row in zip(*columns)]
+    return "".join(lines)

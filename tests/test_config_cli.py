@@ -326,6 +326,15 @@ class TestCliSecurity:
         printed = capsys.readouterr().out
         assert "information crossover: eta = 0.817" in printed
 
+    def test_sweep_bytes_are_pinned(self, tmp_path):
+        """Byte-exact sweep table of the default configuration."""
+        out = tmp_path / "sec"
+        code = main(["security", "--out", str(out), "--eta-points", "41"])
+        assert code == 0
+        digest = hashlib.sha256((out / "security.csv").read_bytes()).hexdigest()
+        assert digest == ("6d1ac7a51182873054e7aa6c65b929dd"
+                          "54b0f47d3f2e63111d1e230f11897a84")
+
     def test_eta_points_floor(self, tmp_path, small_config):
         code = main(["security", "--config", small_config,
                      "--out", str(tmp_path / "s"), "--eta-points", "1"])
