@@ -4,12 +4,14 @@ Fields are square complex sample grids indexed as ``samples[ix, iy]`` with
 ``x = (ix - n/2) * step`` and the same convention on the second axis.  A
 single lens of focal length ``f`` placed confocally (object and image planes
 one focal length away on either side) maps a field to its optical Fourier
-transform, evaluated at spatial frequency ``q = k * rho / f``.  Chaining two
-equal lenses gives a telescope, i.e. a point inversion of the input plane.
+transform, evaluated at spatial frequency ``q = k * rho / f``.  Any two
+confocal lenses ``f1, f2`` form a telescope of magnification ``-f2 / f1``.
 
 The discrete transform convention used throughout keeps power exactly
 conserved: a lens step multiplies the centered FFT by ``step**2 / (lam * f)``
-and rescales the grid half-extent to ``lam * f * n / (4 * extent)``.
+and rescales the grid half-extent to ``lam * f * n / (4 * extent)``.  The
+centered DFT applied twice is ``n**2`` times the point inversion on the
+sample lattice, so a chain of any length costs one transform.
 """
 
 from __future__ import annotations
@@ -369,7 +371,9 @@ def _check_contained(field: OpticalField, where: str) -> None:
 def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
     """Propagate a field through confocal lenses of the given focal lengths.
 
-    Each lens applies one optical Fourier transform with grid rescaling.  The
+    Each lens applies one optical Fourier transform with grid rescaling, but
+    only the first is computed: the plane after lens ``j + 1`` is the one
+    before lens ``j``, point-inverted and scaled by ``f_j / f_(j+1)``.  The
     input field and the output of every lens must keep essentially all power
     away from the grid border; otherwise :class:`SamplingError` is raised
     naming the lens after which containment failed.
@@ -377,12 +381,23 @@ def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
     focal_lengths = tuple(number("focal length", f, "(0, inf)", GeometryError)
                           for f in focal_lengths)
     _check_contained(field, "at the chain input")
-    out = field
+    before, out = None, field
     for idx, f in enumerate(focal_lengths):
-        out = _lens_step(out, f)
+        if idx == 0:
+            before, out = out, _lens_step(out, f)
+        else:
+            extent = field.wavelength * f * field.n / (4.0 * out.extent)
+            before, out = out, OpticalField(
+                _inverted(before.samples) * (focal_lengths[idx - 1] / f),
+                extent, field.wavelength)
         _check_contained(out, f"after lens {idx + 1} of {len(focal_lengths)} "
                               f"(focal length {f:g} m)")
     return out
+
+
+def _inverted(samples: np.ndarray) -> np.ndarray:
+    """Point inversion about index ``n/2``: flip both axes, roll by one."""
+    return np.roll(np.flip(samples, axis=(0, 1)), 1, axis=(0, 1))
 
 
 def point_inverted(field: OpticalField) -> OpticalField:
@@ -391,8 +406,8 @@ def point_inverted(field: OpticalField) -> OpticalField:
     With the origin at index ``n/2``, inversion flips both axes and rolls by
     one sample so that index ``n/2`` stays fixed.
     """
-    inv = np.roll(np.flip(field.samples, axis=(0, 1)), 1, axis=(0, 1))
-    return OpticalField(inv, field.extent, field.wavelength)
+    return OpticalField(_inverted(field.samples), field.extent,
+                        field.wavelength)
 
 
 def arm_chain(basis: Basis, geom: Geometry) -> tuple[float, ...]:

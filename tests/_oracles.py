@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's quadrature and binning
 code paths: hexagon membership is a direct half-plane test and integrals are
 midpoint Riemann sums on a dense subgrid.  The binning reference decodes
-with ``nearest_cell`` but recomputes the whole grid on every call, and the
-field references build full 2-D meshgrids.
+with ``nearest_cell`` but recomputes the whole grid on every call, the
+field references build full 2-D meshgrids, and the lens-chain reference
+computes one centered FFT per lens.
 """
 
 import numpy as np
@@ -163,6 +164,21 @@ def airy_amplitude_2d(coords: np.ndarray, k: float, focal: float,
     qa = k * np.hypot(x, y) / focal * radius
     safe = np.where(qa > 0, qa, 1.0)
     return np.abs(np.where(qa > 0, 2.0 * special.j1(safe) / safe, 1.0))
+
+
+def lens_by_lens(field, focal_lengths):
+    """A field propagated through confocal lenses one transform per lens:
+    the centered FFT scaled by ``step**2 / (lam * f)`` onto a grid of
+    half-extent ``lam * f * n / (4 * extent)``, with no containment checks."""
+    from spatialqkd.optics import OpticalField
+
+    out = field
+    for f in focal_lengths:
+        ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(out.samples)))
+        out = OpticalField(ft * (out.step ** 2 / (out.wavelength * f)),
+                           out.wavelength * f * out.n / (4.0 * out.extent),
+                           out.wavelength)
+    return out
 
 
 def csv_text_reference(header, blocks) -> str:

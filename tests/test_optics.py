@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spatialqkd import optics
 from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                Geometry, GeometryError, IntensityMap,
                                OpticalField, SamplingError, analytic_amplitude,
@@ -10,7 +11,7 @@ from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                propagate_chain)
 
 from _oracles import (airy_amplitude_2d, crossed_gaussian_2d,
-                      gaussian_aperture_2d)
+                      gaussian_aperture_2d, lens_by_lens)
 
 
 @pytest.fixture()
@@ -20,6 +21,18 @@ def geom():
 
 def gaussian_field(geom, waist, center=(0.0, 0.0)):
     return make_aperture_field(ApertureSpec("gaussian", waist, center), geom)
+
+
+def asymmetric_field(geom):
+    """A unit-power complex field with no symmetry about the grid origin."""
+    base = gaussian_field(geom, 120e-6, (500e-6, 300e-6))
+    extra = gaussian_field(geom, 90e-6, (-300e-6, 200e-6))
+    return OpticalField(base.samples + 0.3j * extra.samples,
+                        base.extent, base.wavelength).normalized()
+
+
+#: Unequal focal lengths, so every telescope in a chain magnifies.
+UNEQUAL_FOCALS = (0.1, 0.3, 0.2, 0.15, 0.25, 0.12)
 
 
 class TestBasisConfig:
@@ -121,11 +134,10 @@ class TestTransforms:
         assert waist == pytest.approx(geom.conjugate_waist, rel=1e-3)
 
     def test_telescope_is_point_inversion(self, geom):
-        base = gaussian_field(geom, 120e-6, (500e-6, 300e-6))
-        extra = gaussian_field(geom, 90e-6, (-300e-6, 200e-6))
-        field = OpticalField(base.samples + 0.3j * extra.samples,
-                             base.extent, base.wavelength).normalized()
-        out = propagate_chain(field, arm_chain(Basis.I, geom))
+        """Two transforms are one point inversion, the identity that lets
+        ``propagate_chain`` compute a single transform per chain."""
+        field = asymmetric_field(geom)
+        out = lens_by_lens(field, arm_chain(Basis.I, geom))
         assert out.extent == pytest.approx(field.extent)
         inverted = point_inverted(field)
         assert np.max(np.abs(out.samples - inverted.samples)) < 1e-9
@@ -141,6 +153,56 @@ class TestTransforms:
         field = gaussian_field(geom, 8e-6)
         with pytest.raises(SamplingError):
             propagate_chain(field, arm_chain(Basis.F, geom))
+
+
+class TestOneTransformPerChain:
+    """``propagate_chain`` against one transform per lens."""
+
+    @staticmethod
+    def check(field, focal_lengths):
+        out = propagate_chain(field, focal_lengths)
+        ref = lens_by_lens(field, focal_lengths)
+        assert out.extent == ref.extent
+        assert out.power == pytest.approx(ref.power, rel=1e-12)
+        gap = np.linalg.norm(out.samples - ref.samples)
+        assert gap <= 1e-12 * np.linalg.norm(ref.samples)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+    def test_full_chains(self, geom, config):
+        spec = ApertureSpec("gaussian", 100e-6, (346.4e-6, 600e-6))
+        self.check(make_aperture_field(spec, geom), full_chain(config, geom))
+
+    @pytest.mark.parametrize("lenses", range(1, 7))
+    def test_unequal_focal_lengths(self, geom, lenses):
+        self.check(asymmetric_field(geom), UNEQUAL_FOCALS[:lenses])
+
+    @pytest.mark.parametrize("lenses", range(7))
+    def test_every_plane_checked_once(self, geom, monkeypatch, lenses):
+        """Each plane's containment check runs, one transform runs, and the
+        input, plane 0 of the chain, is left as the caller passed it."""
+        wheres, steps = [], []
+        check, step = optics._check_contained, optics._lens_step
+
+        def counted_check(field, where):
+            wheres.append(where)
+            check(field, where)
+
+        def counted_step(field, focal):
+            steps.append(focal)
+            return step(field, focal)
+
+        monkeypatch.setattr(optics, "_check_contained", counted_check)
+        monkeypatch.setattr(optics, "_lens_step", counted_step)
+        field = asymmetric_field(geom)
+        before = field.samples.copy()
+        chain = UNEQUAL_FOCALS[:lenses]
+        out = propagate_chain(field, chain)
+        assert wheres == ["at the chain input"] + [
+            f"after lens {i + 1} of {lenses} (focal length {f:g} m)"
+            for i, f in enumerate(chain)]
+        assert steps == list(chain[:1])
+        assert np.array_equal(field.samples, before)
+        assert lenses == 0 or not np.shares_memory(out.samples, field.samples)
 
 
 class TestAnalyticEquivalence:
