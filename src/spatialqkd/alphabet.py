@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._checks import count, number
-from ._csv import write_csv
+from ._csv import row_blocks, write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
 
@@ -104,8 +104,8 @@ class HexAlphabet:
     centers : ndarray of shape (d, 2)
         Cell centers.
     labels : list or tuple of str
-        One per cell, unique, non-empty ASCII, no comma, quote or line break,
-        and not ``(residual)``.
+        One per cell, unique, non-empty printable ASCII (no control
+        character), no comma or quote, and not ``(residual)``.
     rings : int or None
         Number of complete rings when the alphabet was built that way;
         ``d`` is then ``1 + 3 * rings * (rings + 1)``.
@@ -123,12 +123,12 @@ class HexAlphabet:
             raise ValueError(f"labels must be a list or tuple, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         bad = [s for s in self.labels if not (
-            isinstance(s, str) and s.isascii() and s.splitlines() == [s]
+            isinstance(s, str) and s and s.isascii() and s.isprintable()
             and "," not in s and '"' not in s and s != _RESIDUAL)]
         if bad:
-            raise ValueError("labels must be non-empty ASCII strings other than "
-                             f"{_RESIDUAL} with no comma, double quote or line "
-                             f"break, got {bad[0]!r}")
+            raise ValueError("labels must be non-empty printable ASCII strings "
+                             f"other than {_RESIDUAL} with no comma or double "
+                             f"quote, got {bad[0]!r}")
         number("cell_radius", self.cell_radius, "(0, inf)")
         if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
             raise ValueError(f"centers must have shape (d, 2), got {c.shape}")
@@ -395,16 +395,23 @@ class ProbabilityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Rows ``config,sent_char,cell_char,probability``; the row with
         cell char ``(residual)`` holds the outside-all-cells probability."""
-        cells = np.array(self.cell_labels + (_RESIDUAL,), dtype=object)
-        # One block per configuration and source: its cells, then residual.
+        cells = np.array(self.cell_labels + (_RESIDUAL,), dtype="S")
+        sources = np.array(self.source_labels, dtype="S")
+        nc = len(self.cell_labels)
+
+        # Row k of a configuration: source k // (nc + 1), then its cells and
+        # the residual.
+        def fields(cfg: BasisConfig, k: np.ndarray):
+            s, c = np.divmod(k, nc + 1)
+            value = np.where(c < nc, self.probs[cfg.label][s, np.minimum(c, nc - 1)],
+                             self.residual[cfg.label][s])
+            return (np.full(k.size, cfg.label.encode()), sources[s], cells[c],
+                    value)
+
         write_csv(path, ("config", "sent_char", "cell_char", "probability"),
                   "%s,%s,%s,%.12e\n",
-                  ((np.full(cells.size, cfg.label, dtype=object),
-                    np.full(cells.size, sent, dtype=object), cells,
-                    np.append(self.probs[cfg.label][s],
-                              self.residual[cfg.label][s]))
-                   for cfg in ALL_CONFIGS
-                   for s, sent in enumerate(self.source_labels)))
+                  (fields(cfg, k) for cfg in ALL_CONFIGS
+                   for k in row_blocks(sources.size * (nc + 1))))
 
 
 def _classify_points(points: np.ndarray, alphabet: HexAlphabet,

@@ -103,6 +103,15 @@ class TestConstruction:
                 HexAlphabet.from_dict({**seven, "labels": labels})
         assert HexAlphabet.from_dict(seven).labels == tuple("0123456")
 
+    def test_control_characters_refused(self):
+        """A NUL would vanish from the NUL-padded CSV blocks; a tab or bell
+        would reach alphabet.json and every CSV."""
+        seven = build_hex_alphabet(1, 200e-6).to_dict()
+        for label in ("a\x00", "a\t", "a\x07"):
+            with pytest.raises(ValueError, match="printable ASCII"):
+                HexAlphabet.from_dict(
+                    {**seven, "labels": [label, "1", "2", "3", "4", "5", "6"]})
+
     def test_inverse_index(self, alphabet37):
         for i in range(alphabet37.d):
             j = alphabet37.inverse_index(i)

@@ -3,13 +3,17 @@ import importlib
 import io
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spatialqkd
 from _oracles import csv_text_reference
 from spatialqkd._csv import BLOCK, FLAG_FIELDS, code_fields, row_blocks, write_csv
+from spatialqkd.optics import IntensityMap
 
 MODULES = ("adversary", "alphabet", "cli", "config", "infotheory", "model",
            "optics", "protocol")
@@ -65,3 +69,103 @@ def test_write_csv_matches_per_field_join(tmp_path, n):
         assert ",-0.000000000000e+00," in expected
         assert ",4.940656458412e-324," in expected
         assert ",#62," in expected and ",," in expected
+
+
+def _rendered(path, row_format: str, *columns) -> tuple[str, str]:
+    """What ``write_csv`` writes for one block, and what Python's ``%``
+    writes row by row for the same values."""
+    write_csv(path, ("x",) * len(columns), row_format, [columns])
+    expected = "".join(row_format % row
+                       for row in zip(*(c.tolist() for c in columns)))
+    return path.read_text("ascii").split("\n", 1)[1], expected
+
+
+def _first_difference(got: str, expected: str):
+    return next(((g, w) for g, w in zip(got.splitlines(), expected.splitlines())
+                 if g != w), None)
+
+
+# Any double: a random bit pattern (subnormals, nan payloads), or a float
+# that hypothesis draws (edges, ties, small integers, +-0.0, +-inf).
+_DOUBLES = st.one_of(
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(
+        lambda bits: float(np.int64(bits).view(np.float64))),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=_DOUBLES),
+    arrays(np.int64, n, elements=st.integers(-2 ** 63, 2 ** 63 - 1)),
+    arrays(np.bool_, n))))
+def test_fields_match_percent(tmp_path, columns):
+    """Floats, integers and flags are written as Python's ``%`` writes them."""
+    x, ints, flags = columns
+    got, expected = _rendered(tmp_path / "t.csv", "%.12e,%.6f,%d,%d\n",
+                              x, x, ints, flags)
+    assert _first_difference(got, expected) is None
+    assert got == expected
+
+
+def _decade_edges() -> np.ndarray:
+    """Powers of ten, their neighbouring doubles, and values just below
+    them that ``%.12e`` (4e-14 relative) or ``%.6f`` (4e-7 absolute) rounds
+    up to the power."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf),
+                           powers * (1 - 4e-14), powers - 4e-7])
+
+
+@pytest.mark.parametrize("row_format, values", [
+    ("%.12e\n", [1234567890123.5, -1234567890124.5, 0.0, -0.0]),
+    ("%.6f\n", [0.0078125, -0.0078125, 0.0, -0.0]),
+    ("%.12e\n", [10.0 ** k for k in range(-323, 309)]),
+    ("%.12e\n", _decade_edges()),
+    ("%.6f\n", _decade_edges()),
+    ("%.12e\n", [5e-324, np.finfo(np.float64).max, 2.0 ** 53, np.nan,
+                 np.inf, -np.inf]),
+    ("%.6f\n", [5e-324, np.finfo(np.float64).max, 2.0 ** 53, 2.0 ** 53 + 2,
+                4503599627.3700995, np.nan, np.inf, -np.inf]),
+    ("%d\n", np.array([0, -1, 9, 10, -10, 99, 100, 2 ** 63 - 1, -2 ** 63])),
+])
+def test_named_fields_match_percent(tmp_path, row_format, values):
+    """Exact ties, every power of ten, the decade edges, both ends of the
+    double range, ``2**53`` under ``%.6f`` and the int64 extremes."""
+    got, expected = _rendered(tmp_path / "t.csv", row_format, np.asarray(values))
+    assert _first_difference(got, expected) is None
+    assert got == expected
+
+
+@pytest.mark.parametrize("row_format", ["%5.2f\n", "%x\n", "%r\n", "%%\n",
+                                        "%.16e\n", "%i\n", "%.12g\n"])
+def test_write_csv_refuses_other_conversions(tmp_path, row_format):
+    with pytest.raises(ValueError, match="only %d, %s"):
+        write_csv(tmp_path / "t.csv", ("x",), row_format, [(np.ones(2),)])
+
+
+def test_write_csv_refuses_bad_blocks(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
+        write_csv(path, ("a", "b"), "%d,%d\n", [(np.arange(3), np.arange(2))])
+    with pytest.raises(ValueError, match="1 columns for the 2 fields"):
+        write_csv(path, ("a", "b"), "%d,%d\n", [(np.arange(3),)])
+    with pytest.raises(ValueError, match=r"column 1 \(%d\) cannot hold float64"):
+        write_csv(path, ("a", "b"), "%d,%d\n", [(np.arange(3), np.ones(3))])
+
+
+def test_map_export_memory_stays_blockwise(tmp_path):
+    """A 512² map is written a block at a time: the transient peak stays
+    far below the 37 MB of rendering the whole map at once."""
+    rng = np.random.default_rng(5)
+    values = rng.random((512, 512)) * 10.0 ** rng.integers(-300, 8, (512, 512))
+    intensity = IntensityMap(values=np.where(values < 1e-200, 0.0, values),
+                             extent=1e-3)
+    tracemalloc.start()
+    try:
+        intensity.to_csv(tmp_path / "map.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
