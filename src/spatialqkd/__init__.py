@@ -13,8 +13,7 @@ from .alphabet import (HexAlphabet, ProbabilityMap, bin_probabilities,
                        calibrate_envelope, leakage_check, prune_alphabet)
 from .config import AlphabetParams, ConfigError, ExperimentConfig, SessionParams
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, info_ab, info_eve,
-                         mutual_information_exact, security_crossover,
-                         security_report, shannon_entropy,
+                         security_crossover, security_report, shannon_entropy,
                          uniform_intercept_error)
 from .model import GaussianModel
 from .optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig, Geometry,
@@ -34,7 +33,7 @@ __all__ = [
     "analytic_amplitude", "bin_probabilities", "build_hex_alphabet",
     "build_packed_alphabet", "calibrate_envelope", "detection_probability_map",
     "full_chain", "info_ab", "info_eve", "leakage_check",
-    "make_aperture_field", "mutual_information_exact", "point_inverted",
-    "propagate_chain", "prune_alphabet", "run_session", "security_crossover",
-    "security_report", "shannon_entropy", "uniform_intercept_error",
+    "make_aperture_field", "point_inverted", "propagate_chain",
+    "prune_alphabet", "run_session", "security_crossover", "security_report",
+    "shannon_entropy", "uniform_intercept_error",
 ]

@@ -79,29 +79,22 @@ class AttackArrays:
     dropped: np.ndarray
 
 
-def evidence_scores(positions: np.ndarray,
+def evidence_scores(positions: np.ndarray, nearest: np.ndarray,
                     model: "GaussianModel") -> tuple[np.ndarray, np.ndarray]:
     """Per-cell-sized likelihood scores of the two basis hypotheses.
 
-    For each position returns ``(same, crossed)``: the peak matched-basis
-    density over all characters and the envelope density, both multiplied by
-    the cell area so that a score of order one means a comfortable detection
-    probability.  Positions are taken in the decoded (logical) plane.
+    For each position, given in the decoded (logical) plane, and the index
+    of its nearest cell returns ``(same, crossed)``: the matched-basis
+    density of that cell's Gaussian, which is the peak over all characters,
+    and the envelope density, both multiplied by the cell area so that a
+    score of order one means a comfortable detection probability.
     """
-    pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    idx, _ = model.alphabet.nearest_cell(pts)
-    return _scores(pts, idx, model)
-
-
-def _scores(pts: np.ndarray, nearest: np.ndarray,
-            model: "GaussianModel") -> tuple[np.ndarray, np.ndarray]:
-    """Evidence scores of positions whose nearest cells are already decoded."""
-    dmin2 = np.sum((pts - model.alphabet.centers[nearest]) ** 2, axis=1)
+    dmin2 = np.sum((positions - model.alphabet.centers[nearest]) ** 2, axis=1)
     area = model.alphabet.cell_area
     sig_ap = model.aperture_waist / 2.0
     sig_env = model.envelope_waist / 2.0
     same = area * np.exp(-0.5 * dmin2 / sig_ap ** 2) / (2.0 * np.pi * sig_ap ** 2)
-    rsq = np.sum(pts ** 2, axis=1)
+    rsq = np.sum(positions ** 2, axis=1)
     crossed = area * np.exp(-0.5 * rsq / sig_env ** 2) / (2.0 * np.pi * sig_env ** 2)
     return same, crossed
 
@@ -131,7 +124,7 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
     measured_idx, _ = model.alphabet.nearest_cell(logical)
     dropped = np.zeros(m, dtype=bool)
     if spec.strategy == "suppress_on_evidence" and spec.evidence_threshold > 0:
-        same, crossed = _scores(logical, measured_idx, model)
+        same, crossed = evidence_scores(logical, measured_idx, model)
         eps = spec.evidence_threshold
         dropped = attacked & (same < eps) & (crossed >= eps)
     return AttackArrays(attacked=attacked, basis_code=basis_code,

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._checks import count
 from ._csv import write_csv
-from .adversary import eve_log_to_csv
+from .adversary import STRATEGIES, eve_log_to_csv
 from .alphabet import build_packed_alphabet, save_alphabet
 from .config import ConfigError, ExperimentConfig
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, security_crossover,
@@ -67,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, metavar="S")
     p_sim.add_argument("--eta", type=float, metavar="X",
                        help="intercepted fraction")
-    p_sim.add_argument("--strategy",
-                       choices=("none", "intercept_resend",
-                                "suppress_on_evidence"))
+    p_sim.add_argument("--strategy", choices=STRATEGIES)
     p_sim.add_argument("--evidence-threshold", type=float, metavar="EPS")
     p_sim.add_argument("--source", choices=("model", "uniform"))
     p_sim.add_argument("--round-log", action="store_true",
@@ -103,14 +101,7 @@ def _outdir(args: argparse.Namespace) -> str:
 def cmd_maps(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    out = _outdir(args)
     alphabet = cfg.build_alphabet()
-    model = cfg.build_model(alphabet)
-    table = model.probability_table()
-
-    save_alphabet(alphabet, os.path.join(out, "alphabet.json"))
-    table.to_csv(os.path.join(out, "probability_maps.csv"))
-
     char = args.char if args.char is not None else alphabet.labels[0]
     idx = alphabet.index_of(char)
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
@@ -119,6 +110,12 @@ def cmd_maps(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown map formats: {', '.join(sorted(bad))}")
     configs = [BasisConfig.from_label(c.strip())
                for c in args.configs.split(",") if c.strip()]
+
+    out = _outdir(args)
+    model = cfg.build_model(alphabet)
+    table = model.probability_table()
+    save_alphabet(alphabet, os.path.join(out, "alphabet.json"))
+    table.to_csv(os.path.join(out, "probability_maps.csv"))
     for config in configs:
         imap = model.intensity_grid(config, idx)
         stem = os.path.join(out, f"map_{config.label}_{char}")
@@ -140,6 +137,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rounds=args.rounds, seed=args.seed, eta=args.eta,
         strategy=args.strategy, evidence_threshold=args.evidence_threshold,
         source=args.source)
+    if args.round_log and not cfg.session.keep_log:
+        raise ConfigError("round log requested but keep_log is disabled")
     out = _outdir(args)
     result = run_session(cfg)
     stats = result.stats
@@ -160,8 +159,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                        log.eve_basis[rounds], log.eve_measured[rounds],
                        log.eve_dropped[rounds], log.labels)
     if args.round_log:
-        if log is None:
-            raise ConfigError("round log requested but keep_log is disabled")
         log.to_csv(os.path.join(out, "rounds.csv"))
 
     avg = stats.error.average
@@ -179,32 +176,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_security(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
     count("--eta-points", args.eta_points, 2, ConfigError)
+    out = _outdir(args)
     probs = cfg.build_model().source()
+    entropy = shannon_entropy(probs)
     etas = np.linspace(0.0, 1.0, args.eta_points)
-    reports = [security_report(probs, float(eta)) for eta in etas]
+    points = [security_report(probs, float(eta)).as_dict() for eta in etas]
     cross = security_crossover(probs)
 
-    points = [r.as_dict() for r in reports]
-    header = ("eta", "average_error", "info_ab_bits", "info_ab_exact_bits",
-              "info_eve_bits", "secure")
+    header = ("eta", "average_error", "info_ab_bits", "info_eve_bits", "secure")
     write_csv(os.path.join(out, "security.csv"), header,
-              "%.6f,%.6f,%.6f,%.6f,%.6f,%d\n",
+              "%.6f,%.6f,%.6f,%.6f,%d\n",
               [[np.array([p[name] for p in points]) for name in header]])
     payload = {
-        "alphabet_size": reports[0].alphabet_size,
-        "source_entropy_bits": reports[0].source_entropy,
+        "alphabet_size": probs.size,
+        "source_entropy_bits": entropy,
         "crossover": cross.as_dict(),
-        "cloning_attack_error_bound": CLONING_ATTACK_ERROR_BOUND,
         "points": points,
     }
+    if probs.size == 37:  # the alphabet size the bound was derived for
+        payload["cloning_attack_error_bound"] = CLONING_ATTACK_ERROR_BOUND
     with open(os.path.join(out, "security.json"), "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    print(f"source entropy: {reports[0].source_entropy:.4f} bits over "
-          f"{reports[0].alphabet_size} characters")
+    print(f"source entropy: {entropy:.4f} bits over {probs.size} characters")
     if cross.secure_for_all_eta:
         print("stations keep the information advantage for every "
               "intercept fraction")

@@ -12,11 +12,12 @@ otherwise lands on ``j != k`` with probability proportional to ``P_j``,
          + sum_k sum_{j != k} P_k E_k P_j / (1 - P_k)
            * log2(E_k P_j / (1 - P_k)),
 
-which treats the receiver marginal as ``P`` itself.  The exact mutual
-information of the same joint distribution is also provided as an oracle.
-Errors of the intercept-resend form ``E_k = c (1 - P_k)`` leave the
-receiver marginal equal to ``P``, so for them the two expressions agree
-exactly; a flat error rate on a non-flat source makes them differ.
+which treats the receiver marginal as ``P`` itself.  Errors of the
+intercept-resend form ``E_k = c (1 - P_k)`` leave the receiver marginal
+equal to ``P``, so for them this closed form is the exact mutual information
+of the joint; a flat error rate on a non-flat source makes the two differ.
+The exact value is computed only in the tests, as the oracle for
+:func:`info_ab`.
 
 An intercept-resend attacker who measures a fraction ``eta`` of the photons
 in a random basis guesses right half the time, so her information is
@@ -38,7 +39,6 @@ __all__ = [
     "CLONING_ATTACK_ERROR_BOUND",
     "shannon_entropy",
     "info_ab",
-    "mutual_information_exact",
     "info_eve",
     "intercept_resend_errors",
     "uniform_intercept_error",
@@ -112,33 +112,6 @@ def info_ab(p, errors) -> float:
     return float(entropy + keep + flip)
 
 
-def _joint(p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    joint = np.outer(p * e / (1.0 - p), p)
-    np.fill_diagonal(joint, p * (1.0 - e))
-    return joint
-
-
-def mutual_information_exact(p, errors) -> float:
-    """Exact mutual information of the error-redistribution joint, in bits.
-
-    Oracle for :func:`info_ab`: identical when the receiver marginal equals
-    ``P``, which holds for a uniform source with symmetric errors.
-    """
-    p = distribution(p)
-    e = _broadcast_errors(p, errors)
-    if p.size == 1:
-        return 0.0
-    if np.any(p >= 1.0):
-        raise ValueError("degenerate distribution with a certain character")
-    joint = _joint(p, e)
-    row = joint.sum(axis=1)
-    col = joint.sum(axis=0)
-    denom = np.outer(row, col)
-    mask = joint > 0
-    terms = special.xlogy(joint[mask], joint[mask] / denom[mask])
-    return float(terms.sum() / _LN2)
-
-
 def info_eve(p, eta: float) -> float:
     """Intercept-resend eavesdropper information, ``(eta / 2) H(P)`` bits."""
     p = distribution(p)
@@ -196,23 +169,17 @@ def security_crossover(p, xtol: float = 1e-6) -> CrossoverResult:
 class InfoReport:
     """Information budget of one operating point."""
 
-    alphabet_size: int
     eta: float
-    source_entropy: float
     average_error: float
     info_ab: float
-    info_ab_exact: float
     info_eve: float
     secure: bool
 
     def as_dict(self) -> dict:
         return {
-            "alphabet_size": self.alphabet_size,
             "eta": self.eta,
-            "source_entropy_bits": self.source_entropy,
             "average_error": self.average_error,
             "info_ab_bits": self.info_ab,
-            "info_ab_exact_bits": self.info_ab_exact,
             "info_eve_bits": self.info_eve,
             "secure": self.secure,
         }
@@ -225,12 +192,9 @@ def security_report(p, eta: float) -> InfoReport:
     ab = info_ab(p, errors)
     eve = info_eve(p, eta)
     return InfoReport(
-        alphabet_size=int(p.size),
         eta=float(eta),
-        source_entropy=shannon_entropy(p),
         average_error=float(np.dot(p, errors)),
         info_ab=ab,
-        info_ab_exact=mutual_information_exact(p, errors),
         info_eve=eve,
         secure=bool(ab > eve),
     )

@@ -5,7 +5,9 @@ code paths: hexagon membership is a direct half-plane test and integrals are
 midpoint Riemann sums on a dense subgrid.  The binning reference decodes
 with ``nearest_cell`` but recomputes the whole grid on every call, the
 field references build full 2-D meshgrids, and the lens-chain reference
-computes one centered FFT per lens.
+computes one centered FFT per lens.  The mutual information is computed
+from the full joint distribution with both marginals, where the package has
+only its closed form.
 """
 
 import numpy as np
@@ -188,3 +190,19 @@ def csv_text_reference(header, blocks) -> str:
     for columns in blocks:
         lines += [",".join(row) + "\n" for row in zip(*columns)]
     return "".join(lines)
+
+
+def mutual_information_exact(p, errors) -> float:
+    """Exact mutual information, in bits, of the joint in which character
+    ``k`` stays intact with probability ``1 - E_k`` and otherwise lands on
+    ``j != k`` with probability proportional to ``P_j``."""
+    p = np.asarray(p, dtype=np.float64)
+    e = np.broadcast_to(np.asarray(errors, dtype=np.float64), p.shape)
+    if p.size == 1:
+        return 0.0
+    joint = np.outer(p * e / (1.0 - p), p)
+    np.fill_diagonal(joint, p * (1.0 - e))
+    denom = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    mask = joint > 0
+    terms = special.xlogy(joint[mask], joint[mask] / denom[mask])
+    return float(terms.sum() / np.log(2.0))

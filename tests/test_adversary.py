@@ -9,6 +9,13 @@ from spatialqkd.optics import BASIS_BY_CODE, Basis
 F = BASIS_BY_CODE.index(Basis.F)
 
 
+def scores(positions, model):
+    """Evidence scores of positions decoded to their nearest cells first."""
+    pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    nearest, _ = model.alphabet.nearest_cell(pts)
+    return evidence_scores(pts, nearest, model)
+
+
 class TestSpec:
     def test_defaults_inactive(self):
         spec = AdversarySpec()
@@ -35,25 +42,25 @@ class TestSpec:
 
 class TestEvidenceScores:
     def test_cell_center_favors_matched(self, model37, alphabet37):
-        same, crossed = evidence_scores(alphabet37.centers[:5], model37)
+        same, crossed = scores(alphabet37.centers[:5], model37)
         assert np.all(same > 1.0)
         assert np.all(crossed < 0.2)
         assert np.all(same > crossed)
 
     def test_between_cells_favors_envelope(self, model37, alphabet37):
         midpoint = alphabet37.centers[1] / 2.0
-        same, crossed = evidence_scores(midpoint, model37)
+        same, crossed = scores(midpoint, model37)
         assert crossed[0] > same[0]
 
     def test_far_outside_everything_is_quiet(self, model37):
-        same, crossed = evidence_scores((10e-3, 0.0), model37)
+        same, crossed = scores((10e-3, 0.0), model37)
         assert same[0] < 1e-6 and crossed[0] < 1e-6
 
     def test_matches_distance_to_every_center(self, model37, alphabet37):
         rng = np.random.default_rng(4)
         reach = 1.5 * alphabet37.envelope_radius
         pts = rng.uniform(-reach, reach, (5000, 2))
-        same, _ = evidence_scores(pts, model37)
+        same, _ = scores(pts, model37)
         c = alphabet37.centers
         dmin2 = ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
         sigma = model37.aperture_waist / 2
@@ -62,7 +69,7 @@ class TestEvidenceScores:
         assert np.allclose(same, expected, rtol=1e-12, atol=0.0)
 
     def test_peak_value(self, model37, alphabet37):
-        same, _ = evidence_scores(alphabet37.centers[0], model37)
+        same, _ = scores(alphabet37.centers[0], model37)
         sigma = model37.aperture_waist / 2
         expected = alphabet37.cell_area / (2 * np.pi * sigma ** 2)
         assert same[0] == pytest.approx(expected)

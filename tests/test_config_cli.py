@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spatialqkd.adversary import AdversarySpec
+from spatialqkd.adversary import STRATEGIES, AdversarySpec
 from spatialqkd.alphabet import build_hex_alphabet, calibrate_envelope
 from spatialqkd.cli import main
 from spatialqkd.config import (AlphabetParams, ConfigError, ExperimentConfig,
@@ -189,6 +189,12 @@ def small_config(tmp_path):
     return str(path)
 
 
+def assert_refused_before_output(argv, out):
+    """The command exits 2 and leaves no file in its output directory."""
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestCliSimulate:
     def test_writes_outputs(self, tmp_path, small_config, capsys):
         out = str(tmp_path / "run")
@@ -234,6 +240,22 @@ class TestCliSimulate:
             "eve_records.csv": "2bd9835b4f797aaf27d0b6580f691d6c"
                                "863305b3675f3e6480d42f0f4bc6a4a9",
         }
+
+    def test_every_strategy_runs(self, tmp_path):
+        for strategy in STRATEGIES:
+            assert main(["simulate", "--rounds", "1000", "--eta", "0.5",
+                         "--strategy", strategy,
+                         "--out", str(tmp_path / strategy)]) == 0
+
+    def test_round_log_without_log_refused_before_running(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "config.json"
+        ExperimentConfig(session=SessionParams(rounds=2_000, seed=5,
+                                               keep_log=False)).save(path)
+        assert_refused_before_output(
+            ["simulate", "--config", str(path), "--round-log"],
+            tmp_path / "o")
+        assert "keep_log" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"),
@@ -299,14 +321,20 @@ class TestCliMaps:
         }
 
     def test_unknown_char(self, tmp_path, small_config, capsys):
-        code = main(["maps", "--config", small_config,
-                     "--out", str(tmp_path / "m"), "--char", "zz"])
-        assert code == 2
+        assert_refused_before_output(
+            ["maps", "--config", small_config, "--char", "zz"],
+            tmp_path / "m")
+        assert "zz" in capsys.readouterr().err
 
     def test_unknown_format(self, tmp_path, small_config):
-        code = main(["maps", "--config", small_config,
-                     "--out", str(tmp_path / "m"), "--formats", "bmp"])
-        assert code == 2
+        assert_refused_before_output(
+            ["maps", "--config", small_config, "--formats", "bmp"],
+            tmp_path / "m")
+
+    def test_unknown_config_label(self, tmp_path, small_config):
+        assert_refused_before_output(
+            ["maps", "--config", small_config, "--configs", "FF,XY"],
+            tmp_path / "m")
 
 
 class TestCliSecurity:
@@ -317,12 +345,21 @@ class TestCliSecurity:
         assert code == 0
         lines = (out / "security.csv").read_text().splitlines()
         assert len(lines) == 6
+        assert lines[0] == "eta,average_error,info_ab_bits,info_eve_bits,secure"
         assert lines[1].startswith("0.000000,0.000000,")
         payload = json.loads((out / "security.json").read_text())
         assert payload["crossover"]["eta_star"] == pytest.approx(0.81709,
                                                                  abs=1e-3)
         assert payload["cloning_attack_error_bound"] == 0.42
+        # Per-eta numbers live in the points; the alphabet's own numbers
+        # appear once, at the top level.
+        assert set(payload) == {"alphabet_size", "source_entropy_bits",
+                                "crossover", "cloning_attack_error_bound",
+                                "points"}
         assert len(payload["points"]) == 5
+        for point in payload["points"]:
+            assert set(point) == {"eta", "average_error", "info_ab_bits",
+                                  "info_eve_bits", "secure"}
         printed = capsys.readouterr().out
         assert "information crossover: eta = 0.817" in printed
 
@@ -332,13 +369,13 @@ class TestCliSecurity:
         code = main(["security", "--out", str(out), "--eta-points", "41"])
         assert code == 0
         digest = hashlib.sha256((out / "security.csv").read_bytes()).hexdigest()
-        assert digest == ("6d1ac7a51182873054e7aa6c65b929dd"
-                          "54b0f47d3f2e63111d1e230f11897a84")
+        assert digest == ("abc5252f07ea4de3b8badbed44a00845"
+                          "66118dffe1ab7c9490ab89a5192e9d81")
 
     def test_eta_points_floor(self, tmp_path, small_config):
-        code = main(["security", "--config", small_config,
-                     "--out", str(tmp_path / "s"), "--eta-points", "1"])
-        assert code == 2
+        assert_refused_before_output(
+            ["security", "--config", small_config, "--eta-points", "1"],
+            tmp_path / "s")
 
 
 class TestCliScaling:
@@ -371,6 +408,8 @@ class TestCliScaling:
         sec = json.loads((tmp_path / "sec" / "security.json").read_text())
         assert point["alphabet_size"] == sec["alphabet_size"] == 91
         assert point["source_entropy_bits"] == sec["source_entropy_bits"]
+        # The cloning bound is a 37-character figure.
+        assert "cloning_attack_error_bound" not in sec
 
     def test_negative_radius(self, tmp_path, small_config):
         code = main(["scaling", "--config", small_config,
