@@ -89,12 +89,13 @@ def evidence_scores(positions: np.ndarray, nearest: np.ndarray,
     and the envelope density, both multiplied by the cell area so that a
     score of order one means a comfortable detection probability.
     """
-    dmin2 = np.sum((positions - model.alphabet.centers[nearest]) ** 2, axis=1)
+    rel = positions - model.alphabet.centers.take(nearest, axis=0)
+    dmin2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
     area = model.alphabet.cell_area
     sig_ap = model.aperture_waist / 2.0
     sig_env = model.envelope_waist / 2.0
     same = area * np.exp(-0.5 * dmin2 / sig_ap ** 2) / (2.0 * np.pi * sig_ap ** 2)
-    rsq = np.sum(positions ** 2, axis=1)
+    rsq = positions[:, 0] ** 2 + positions[:, 1] ** 2
     crossed = area * np.exp(-0.5 * rsq / sig_env ** 2) / (2.0 * np.pi * sig_env ** 2)
     return same, crossed
 
@@ -120,13 +121,16 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
     basis_code = rng.integers(0, 2, m).astype(np.int8)
     noise = rng.standard_normal((m, 2))
 
-    logical = model.sample_plane(noise, alice_basis, alice_idx, basis_code)
-    measured_idx, _ = model.alphabet.nearest_cell(logical)
+    measured_idx = np.empty(m, dtype=np.intp)
     dropped = np.zeros(m, dtype=bool)
-    if spec.strategy == "suppress_on_evidence" and spec.evidence_threshold > 0:
-        same, crossed = evidence_scores(logical, measured_idx, model)
-        eps = spec.evidence_threshold
-        dropped = attacked & (same < eps) & (crossed >= eps)
+    eps = spec.evidence_threshold
+    suppress = spec.strategy == "suppress_on_evidence" and eps > 0
+    for s, logical, nearest, _ in model._decode_slices(
+            noise, alice_basis, alice_idx, basis_code):
+        measured_idx[s] = nearest
+        if suppress:
+            same, crossed = evidence_scores(logical, nearest, model)
+            dropped[s] = attacked[s] & (same < eps) & (crossed >= eps)
     return AttackArrays(attacked=attacked, basis_code=basis_code,
                         measured_idx=measured_idx, dropped=dropped)
 

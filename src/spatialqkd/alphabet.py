@@ -50,6 +50,8 @@ _EDGE_RTOL = 1e-9
 #: edges by that margin is nearest to the cell's center.
 _LATTICE_RTOL = 1e-11
 _HALF_SQRT3 = np.sqrt(3.0) / 2.0
+#: Points per cache-sized ``nearest_cell`` call of grids and session slices.
+_SLICE = 1 << 13
 
 
 def _spiral_labels(count: int) -> tuple[str, ...]:
@@ -216,20 +218,19 @@ class HexAlphabet:
         each, in a k-d tree query over the centers: points outside the
         pattern or in a pruned hole (which still have a nearest cell),
         points within 1e-9 spacings of a cell edge, and every point of an
-        alphabet whose centers are off the lattice.
+        alphabet whose centers are off the lattice.  Only these get the
+        hexagon membership test: a point the table clears is inside its
+        cell by a margin of 1e-9 spacings, far beyond rounding.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if self._lattice is None:
-            idx = self._tree_nearest(pts)
-        else:
-            idx, clear = self._lattice_nearest(pts)
-            rest = np.flatnonzero(~clear)
-            idx[rest] = self._tree_nearest(pts[rest])
-        chosen = self.centers[idx]
-        inside = hexagon_mask(pts[:, 0] - chosen[:, 0], pts[:, 1] - chosen[:, 1],
-                              (0.0, 0.0), self.cell_radius)
+        idx, inside = (self._lattice_nearest(pts) if self._lattice is not None
+                       else (np.empty(len(pts), np.intp), np.zeros(len(pts), bool)))
+        rest = np.flatnonzero(~inside)
+        idx[rest] = near = self._tree_nearest(pts[rest])
+        inside[rest] = hexagon_mask(*pts[rest].T, self.centers.take(near, axis=0).T,
+                                    self.cell_radius)
         return idx, inside
 
     def _lattice_nearest(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +241,8 @@ class HexAlphabet:
         q, r = _cube_round(pts[:, 0], pts[:, 1], self.spacing)
         qi = np.clip(q - q0, 0, table.shape[0] - 1).astype(np.intp)
         ri = np.clip(r - r0, 0, table.shape[1] - 1).astype(np.intp)
-        idx = table[qi, ri]
-        rel = pts - self.centers[idx]
+        idx = table.take(qi * table.shape[1] + ri)
+        rel = pts - self.centers.take(idx, axis=0)
         dx, dy = rel[:, 0], rel[:, 1]
         reach = (0.5 - _EDGE_RTOL) * self.spacing
         clear = idx >= 0
@@ -414,12 +415,11 @@ class ProbabilityMap:
                    for k in row_blocks(sources.size * (nc + 1))))
 
 
-def _classify_points(points: np.ndarray, alphabet: HexAlphabet,
-                     chunk: int = 65536) -> np.ndarray:
-    """Cell index per point, -1 outside all cells; chunked to bound memory."""
+def _classify_points(points: np.ndarray, alphabet: HexAlphabet) -> np.ndarray:
+    """Cell index per point, -1 outside all cells, in slices of ``_SLICE``."""
     out = np.empty(points.shape[0], dtype=np.int64)
-    for start in range(0, points.shape[0], chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, points.shape[0], _SLICE):
+        sl = slice(start, start + _SLICE)
         idx, inside = alphabet.nearest_cell(points[sl])
         out[sl] = np.where(inside, idx, -1)
     return out

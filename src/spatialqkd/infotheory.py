@@ -59,7 +59,10 @@ _LN2 = np.log(2.0)
 
 def shannon_entropy(p) -> float:
     """Entropy of a distribution in bits; zero entries contribute nothing."""
-    p = distribution(p)
+    return _entropy(distribution(p))
+
+
+def _entropy(p: np.ndarray) -> float:
     return float(-special.xlogy(p, p).sum() / _LN2) + 0.0
 
 
@@ -98,10 +101,13 @@ def info_ab(p, errors) -> float:
     ``P_k`` below 1 so the error redistribution is well defined.
     """
     p = distribution(p)
-    e = _broadcast_errors(p, errors)
+    return _info_ab(p, _broadcast_errors(p, errors), _entropy(p))
+
+
+def _info_ab(p: np.ndarray, e: np.ndarray, entropy: float) -> float:
+    """:func:`info_ab` on a checked distribution of the given entropy."""
     if p.size > 1 and np.any(p >= 1.0):
         raise ValueError("degenerate distribution with a certain character")
-    entropy = -special.xlogy(p, p).sum() / _LN2
     keep = (p * special.xlogy(1.0 - e, 1.0 - e)).sum() / _LN2
     if p.size == 1:
         return float(entropy + keep)
@@ -116,7 +122,7 @@ def info_eve(p, eta: float) -> float:
     """Intercept-resend eavesdropper information, ``(eta / 2) H(P)`` bits."""
     p = distribution(p)
     number("eta", eta, "[0, 1]")
-    return 0.5 * eta * shannon_entropy(p)
+    return 0.5 * eta * _entropy(p)
 
 
 @dataclass(frozen=True)
@@ -149,20 +155,30 @@ def security_crossover(p, xtol: float = 1e-6) -> CrossoverResult:
     crossover the stations hold more information than the attacker.
     """
     p = distribution(p)
+    entropy = _entropy(p)
 
     def gap(eta: float) -> float:
-        return info_ab(p, intercept_resend_errors(p, eta)) - info_eve(p, eta)
+        _, ab, eve = _balance(p, eta, entropy)
+        return ab - eve
 
     if gap(1.0) >= 0.0:
         return CrossoverResult(None, None, None, True)
     eta_star = float(optimize.brentq(gap, 1e-12, 1.0, xtol=xtol))
-    errors = intercept_resend_errors(p, eta_star)
+    errors, _, eve = _balance(p, eta_star, entropy)
     return CrossoverResult(
         eta_star=eta_star,
         average_error=float(np.dot(p, errors)),
-        common_information=info_eve(p, eta_star),
+        common_information=eve,
         secure_for_all_eta=False,
     )
+
+
+def _balance(p: np.ndarray, eta: float,
+             entropy: float) -> tuple[np.ndarray, float, float]:
+    """Intercept-resend errors, ``I_AB`` and ``I_E`` at one intercept
+    fraction, on a checked source of the given entropy."""
+    errors = 0.5 * eta * (1.0 - p)
+    return errors, _info_ab(p, errors, entropy), 0.5 * eta * entropy
 
 
 @dataclass(frozen=True)
@@ -188,9 +204,8 @@ class InfoReport:
 def security_report(p, eta: float) -> InfoReport:
     """Evaluate both sides of the information balance at one intercept level."""
     p = distribution(p)
-    errors = intercept_resend_errors(p, eta)
-    ab = info_ab(p, errors)
-    eve = info_eve(p, eta)
+    number("eta", eta, "[0, 1]")
+    errors, ab, eve = _balance(p, eta, _entropy(p))
     return InfoReport(
         eta=float(eta),
         average_error=float(np.dot(p, errors)),

@@ -14,12 +14,13 @@ densities, which keeps Monte Carlo runs and the quadrature independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
 
 from ._checks import number
-from .alphabet import HexAlphabet, ProbabilityMap, calibrate_envelope
+from .alphabet import _SLICE, HexAlphabet, ProbabilityMap, calibrate_envelope
 from .optics import Basis, BasisConfig, Geometry, IntensityMap, grid_coords
 
 __all__ = [
@@ -111,6 +112,10 @@ class GaussianModel:
     def aperture_waist(self) -> float:
         return self.geometry.aperture_waist
 
+    @cached_property
+    def _padded_centers(self) -> np.ndarray:  # row d: the crossed-basis mean
+        return np.vstack([self.alphabet.centers, np.zeros(2)])
+
     def sample_plane(self, noise: np.ndarray, prep_code: np.ndarray,
                      idx: np.ndarray, meas_code: np.ndarray) -> np.ndarray:
         """Detection-plane positions in the decoder frame, shape (m, 2).
@@ -124,12 +129,30 @@ class GaussianModel:
         draws this noise, jitter, background decisions, background cells,
         then loss.
         """
-        matched = prep_code == meas_code
-        sign = (2 * meas_code.astype(np.int64) - 1).astype(np.float64)
-        centers = np.where(matched[:, None],
-                           sign[:, None] * self.alphabet.centers[idx], 0.0)
-        sigma = np.where(matched, self.aperture_waist, self.envelope_waist) / 2.0
-        return sign[:, None] * (centers + sigma[:, None] * noise)
+        # ``c + (sign * sigma) * noise``, ``c`` the sent center or zero, is
+        # bit-equal to ``sign * (sign * c + sigma * noise)``: negation is
+        # exact and rounding symmetric.  Scales by ``2 * prep + meas``.
+        ap, env = self.aperture_waist / 2.0, self.envelope_waist / 2.0
+        scale = np.array([-ap, env, -env, ap])
+        rows = np.where(prep_code == meas_code, idx, self.alphabet.d)
+        pos = scale.take(2 * prep_code + meas_code)[:, None] * noise
+        pos += self._padded_centers.take(rows, axis=0)
+        return pos
+
+    def _decode_slices(self, noise: np.ndarray, prep_code: np.ndarray,
+                       idx: np.ndarray, meas_code: np.ndarray,
+                       jitter_sigma: float = 0.0, jitter: np.ndarray | None = None):
+        """``(s, positions, cells, inside)`` per slice ``s`` of ``_SLICE``
+        rounds: ``sample_plane`` plus ``jitter_sigma`` times the jitter draws,
+        and their ``nearest_cell``.  The caller made the draws at full batch
+        size, so the slices leave the transcript as it was."""
+        jscale = np.array([-jitter_sigma, jitter_sigma])
+        for start in range(0, noise.shape[0], _SLICE):
+            s = slice(start, start + _SLICE)
+            pos = self.sample_plane(noise[s], prep_code[s], idx[s], meas_code[s])
+            if jitter_sigma:  # flipped with the arm, like the position
+                pos += jscale.take(meas_code[s])[:, None] * jitter[s]
+            yield (s, pos, *self.alphabet.nearest_cell(pos))
 
     def _envelope_masses(self) -> np.ndarray:
         """Mass of the crossed-configuration envelope in each region cell."""

@@ -10,8 +10,10 @@ The engine is vectorized and batched.  Batch ``b`` of a session with seed
 ``s`` uses the generator seeded with ``[s, b]``, so transcripts are
 reproducible bit for bit.  They stay so only because :data:`BATCH_SIZE` is a
 fixed constant: a different batch size splits the rounds over different
-generators and gives a different transcript.  Error estimation and key
-flattening draw from their own fixed substreams.
+generators and gives a different transcript.  Each batch makes its draws
+at full size; the per-round arithmetic then runs over private compute slices
+that keep temporaries in cache, and their size is free to tune.  Error
+estimation and key flattening draw from their own fixed substreams.
 """
 
 from __future__ import annotations
@@ -127,30 +129,26 @@ def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
 
     The draw order is documented in ``GaussianModel.sample_plane``.
     """
-    alphabet = model.alphabet
     m = prep_idx.shape[0]
-    d = alphabet.d
+    d = model.alphabet.d
     b_noise = rng.standard_normal((m, 2))
     jitter = rng.standard_normal((m, 2))
     bg_u = rng.random(m)
     bg_cell = rng.integers(0, d, m)
     loss_u = rng.random(m)
 
-    # The decoder frame flips with the arm; negation is exact, so adding the
-    # flipped jitter equals flipping the jittered position.
-    sign = 2 * bob_basis.astype(np.int64)[:, None] - 1
-    logical = (model.sample_plane(b_noise, prep_basis, prep_idx, bob_basis)
-               + sign * (noise.jitter_sigma * jitter))
-    idx, inside = alphabet.nearest_cell(logical)
-    decoded = np.where(inside, idx, -1)
-
-    if present is not None:
-        decoded = np.where(present, decoded, -1)
     beta = noise.background_weight(d)
-    if beta > 0:
-        decoded = np.where(bg_u < beta, bg_cell, decoded)
-    if noise.loss_prob > 0:
-        decoded = np.where(loss_u < noise.loss_prob, -1, decoded)
+    decoded = np.empty(m, dtype=np.intp)
+    for s, _, idx, inside in model._decode_slices(
+            b_noise, prep_basis, prep_idx, bob_basis, noise.jitter_sigma, jitter):
+        if present is not None:
+            inside &= present[s]
+        out = np.where(inside, idx, -1)
+        if beta > 0:
+            np.copyto(out, bg_cell[s], where=bg_u[s] < beta)
+        if noise.loss_prob > 0:
+            out[loss_u[s] < noise.loss_prob] = -1
+        decoded[s] = out
     return decoded
 
 

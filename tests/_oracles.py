@@ -206,3 +206,16 @@ def mutual_information_exact(p, errors) -> float:
     mask = joint > 0
     terms = special.xlogy(joint[mask], joint[mask] / denom[mask])
     return float(terms.sum() / np.log(2.0))
+
+
+def sample_plane_reference(model, noise, prep_code, idx, meas_code):
+    """Detection-plane positions by the direct formula: the mean, ``sign``
+    times the sent cell's center when matched and zero when crossed, plus
+    the noise times the matched or envelope sigma, all flipped by ``sign``,
+    the measuring arm's frame."""
+    matched = prep_code == meas_code
+    sign = (2 * meas_code.astype(np.int64) - 1).astype(np.float64)
+    centers = np.where(matched[:, None],
+                       sign[:, None] * model.alphabet.centers[idx], 0.0)
+    sigma = np.where(matched, model.aperture_waist, model.envelope_waist) / 2.0
+    return sign[:, None] * (centers + sigma[:, None] * noise)

@@ -8,7 +8,10 @@ import sys
 
 import numpy as np
 
+from spatialqkd import protocol
+from spatialqkd.adversary import AdversarySpec
 from spatialqkd.alphabet import build_hex_alphabet
+from spatialqkd.config import ExperimentConfig, SessionParams
 from spatialqkd.model import GaussianModel
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -32,3 +35,19 @@ def test_workload_names_resolve():
     for label in ("FF", "II"):
         row = table.probs[label][0]
         assert row.shape == (alphabet.d,) and np.all(np.isfinite(row))
+
+
+def test_tracer_sees_every_session_layer():
+    """A session sliced into compute blocks still reports each layer: every
+    round is decoded twice under attack (the attacker's readout, then the
+    receiver's), and each decode is counted once."""
+    rounds = 2 * protocol.BATCH_SIZE + 1
+    cfg = ExperimentConfig(
+        adversary=AdversarySpec("suppress_on_evidence", eta=1.0),
+        session=SessionParams(rounds=rounds, seed=3, keep_log=False))
+    tracer = tracing.Tracer()
+    tracer.run(lambda: protocol.run_session(cfg))
+    names = {span[3] for span in tracer.spans}
+    assert {"adversary.attack_batch", "adversary.evidence_scores",
+            "alphabet.nearest_cell", "protocol.measure_batch"} <= names
+    assert tracer.op_counts[0]["nearest_cell_points"] == 2 * rounds

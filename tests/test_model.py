@@ -8,7 +8,16 @@ from spatialqkd.model import (GaussianModel, gaussian_polygon_integral,
 from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
 
 from _oracles import (crossed_source_reference, envelope_probs_bruteforce,
-                      gaussian_mass_in_hex, gaussian_mass_in_hex_scanline)
+                      gaussian_mass_in_hex, gaussian_mass_in_hex_scanline,
+                      sample_plane_reference)
+
+_MODELS = {d: GaussianModel(build_hex_alphabet(rings, 200e-6))
+           for d, rings in ((37, 3), (331, 10))}
+#: Zero of both signs, subnormal, huge and ordinary noise values.
+_NOISE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                     1.7e308, -1.7e308]),
+    st.floats(min_value=-8.0, max_value=8.0))
 
 
 class TestPolygonIntegral:
@@ -108,6 +117,36 @@ class TestGaussianModel:
             assert np.allclose(pts.mean(axis=0), alphabet37.centers[3],
                                atol=tol)
             assert np.allclose(pts.std(axis=0), sigma, rtol=0.02)
+
+    @given(d=st.sampled_from(sorted(_MODELS)), data=st.data())
+    def test_sample_plane_matches_direct_formula(self, d, data):
+        """Bit for bit, for random basis codes and cells and noise of every
+        magnitude (signed zeros compare equal)."""
+        model = _MODELS[d]
+        m = data.draw(st.integers(min_value=1, max_value=24))
+        noise = np.array(data.draw(st.lists(_NOISE, min_size=2 * m,
+                                            max_size=2 * m))).reshape(m, 2)
+        codes = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+        prep = np.array(data.draw(codes), dtype=np.int8)
+        meas = np.array(data.draw(codes), dtype=np.int8)
+        idx = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=m,
+                                          max_size=m)))
+        assert np.array_equal(model.sample_plane(noise, prep, idx, meas),
+                              sample_plane_reference(model, noise, prep, idx,
+                                                     meas))
+
+    def test_sample_plane_all_code_pairs(self):
+        """Every (prep, meas) pair on ordinary noise, both alphabets."""
+        rng = np.random.default_rng(3)
+        for d, model in _MODELS.items():
+            m = 4 * d
+            noise = rng.standard_normal((m, 2))
+            prep = np.tile(np.array([0, 0, 1, 1], np.int8), d)
+            meas = np.tile(np.array([0, 1, 0, 1], np.int8), d)
+            idx = np.repeat(np.arange(d), 4)
+            assert np.array_equal(model.sample_plane(noise, prep, idx, meas),
+                                  sample_plane_reference(model, noise, prep,
+                                                         idx, meas))
 
     def test_sample_positions_crossed_center(self, model37):
         n = 100_000
