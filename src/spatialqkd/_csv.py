@@ -12,19 +12,19 @@ no Python object is made per field.
 * ``%s`` takes ``S`` columns as they are and ``str`` columns encoded once
   per block.  Text columns index :func:`code_fields` (code -1 is the empty
   field) or :data:`FLAG_FIELDS`.
-* ``%.<p>e`` and ``%.<p>f`` round ``y = |x| * 10**k`` to the integer ``D`` of
-  the printed digits; for ``e``, ``k = p - E`` with the decimal exponent
-  ``E`` from ``log10``.  ``y`` is ``frexp(|x|)[0]`` times the correctly
-  rounded significand of ``10**k``, scaled by a power of two: two
-  roundings, so ``y`` is off by at most ``(2u + u²) y`` with ``u = eps / 2``.
-  A field whose ``y`` lies within ``2 eps y`` of a half-integer (every
-  ``y >= 2**50`` does) or that is not finite might round either way.  An
-  ``e`` field at a decade edge, whose ``D`` is not strictly between
-  ``10**p`` and ``10**(p+1)``, might have the wrong ``E``.  Only those
-  fields are formatted by Python's ``%``.  Every other field is the exact,
-  round-half-even text that ``%`` writes.  On the two ``cli_outputs`` maps
-  0.06 % and 0.33 % of the fields fall back, on uniform values in [0, 1)
-  0.5 %.
+* ``%.<p>e`` rounds ``y = |x| * 10**k`` to the integer ``D`` of the printed
+  digits, with ``k = p - E`` and the decimal exponent ``E`` from ``log10``.
+  ``y`` is ``frexp(|x|)[0]`` times the correctly rounded significand of
+  ``10**k``, scaled by a power of two: two roundings, so ``y`` is off by at
+  most ``(2u + u²) y`` with ``u = eps / 2``.  A field whose ``y`` lies
+  within ``2 eps y`` of a half-integer (every ``y >= 2**50`` does) or that
+  is not finite might round either way.  A field at a decade edge, whose
+  ``D`` is not strictly between ``10**p`` and ``10**(p+1)``, might have the
+  wrong ``E``.  Only those fields are formatted by Python's ``%``.  Every
+  other field is the exact, round-half-even text that ``%`` writes.  On the
+  two ``cli_outputs`` maps 0.06 % and 0.33 % of the fields fall back, on
+  uniform values in [0, 1) 0.5 %.
+* ``%.<p>f`` fields, only in the few rows of ``security.csv``, all go to ``%``.
 
 A 512² map takes about 0.08 s, against 0.22 s for one ``%`` pass per block
 (traced ``cli_outputs``, 2-core Xeon), with under 1 MB of transient memory.
@@ -78,15 +78,6 @@ def code_fields(names) -> np.ndarray:
     return np.array([*names, ""], dtype="S")
 
 
-def _rounded(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """``round(a * 10**k)`` for finite ``a >= 0``, and where it is unsure.
-    The binary exponent is capped so that nothing overflows; any ``y`` it
-    caps is above ``2**59`` and so unsure anyway."""
-    m, e = np.frexp(a)
-    y = np.ldexp(m * _SIG[k + _K0], np.minimum(e + _EXP[k + _K0], 60))
-    return np.rint(y), ~(np.abs(y - np.floor(y) - 0.5) > 2 * _EPS * y)
-
-
 def _digits(v: np.ndarray, width: int, keep: int = 0) -> np.ndarray:
     """``(m, width)`` decimal digits of the integers ``0 <= v < 2**64``, two
     at a time from a table (``//`` by a scalar beats ``divmod``).  With
@@ -134,32 +125,32 @@ def _text(col: np.ndarray) -> np.ndarray:
 
 
 def _floats(x: np.ndarray, conversion: str) -> np.ndarray:
-    p, style = int(conversion[2:-1]), conversion[-1]
-    finite = np.isfinite(x)
-    a = np.where(finite, np.abs(x), 0.0)
-    if style == "f":
-        d, unsure = _rounded(a, p)
-    else:
+    p = int(conversion[2:-1])
+    field, unsure = np.empty((x.size, 0), np.uint8), np.ones(x.size, bool)
+    if conversion[-1] == "e":
+        finite = np.isfinite(x)
+        a = np.where(finite, np.abs(x), 0.0)
         live = a > 0
         exp10 = np.zeros(x.size, np.int64)
         exp10[live] = np.floor(np.log10(a[live]))
-        d, unsure = _rounded(a, p - exp10)
+        # y = a * 10**k, its binary exponent capped so that nothing
+        # overflows: any y it caps is above 2**59 and so unsure anyway.
+        m, e = np.frexp(a)
+        k = p - exp10 + _K0
+        y = np.ldexp(m * _SIG[k], np.minimum(e + _EXP[k], 60))
+        d, unsure = np.rint(y), ~(np.abs(y - np.floor(y) - 0.5) > 2 * _EPS * y)
         # E is right when D(E) < 10**(p+1) <= D(E - 1).  A sure D(E) above
         # 10**p has y >= 10**p + 1/2, which gives the second; every other
         # live field goes to ``%``.
         unsure |= live & ((d <= 10.0 ** p) | (d >= 10.0 ** (p + 1)))
-    unsure |= ~finite
-    d[unsure] = 0
-    if style == "f":
-        digits = _digits(d, max(p + 1, len(str(int(d.max())))), keep=p + 1)
-        parts = [digits[:, :-p or None], b"." if p else b"",
-                 digits[:, digits.shape[1] - p:]]
-    else:
+        unsure |= ~finite
+        d[unsure] = 0
         mantissa = _digits(d, p + 1)
-        parts = [mantissa[:, :1], b"." if p else b"", mantissa[:, 1:], b"e",
-                 np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+")))[:, None],
-                 _digits(np.abs(exp10), 3, keep=2)]
-    field = _hcat(x.size, [_sign(np.signbit(x))] + parts)
+        field = _hcat(x.size, [
+            _sign(np.signbit(x)), mantissa[:, :1], b"." if p else b"",
+            mantissa[:, 1:], b"e",
+            np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+")))[:, None],
+            _digits(np.abs(exp10), 3, keep=2)])
     rows = np.flatnonzero(unsure)
     if rows.size:  # the only fields that Python formats one by one
         text = np.array([(conversion % v).encode("ascii")

@@ -59,10 +59,12 @@ class AdversarySpec:
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         number("eta", self.eta, "[0, 1]")
         number("evidence_threshold", self.evidence_threshold, "[0, inf)")
+        if self.eta > 0.0 and self.strategy == "none":
+            raise ValueError(f"eta {self.eta:g} needs an attack strategy")
 
     @property
     def active(self) -> bool:
-        return self.strategy != "none" and self.eta > 0.0
+        return self.eta > 0.0
 
 
 @dataclass(eq=False)
@@ -107,7 +109,7 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
 
     Consumes the same random draws for both active strategies, so a
     suppression threshold of zero reproduces plain intercept-resend round for
-    round.  The draw order is documented in ``GaussianModel.sample_plane``.
+    round.  The :mod:`spatialqkd.protocol` docstring lists its draws.
     """
     m = alice_idx.shape[0]
     if not spec.active:

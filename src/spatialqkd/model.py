@@ -120,14 +120,10 @@ class GaussianModel:
                      idx: np.ndarray, meas_code: np.ndarray) -> np.ndarray:
         """Detection-plane positions in the decoder frame, shape (m, 2).
 
-        ``noise`` holds (m, 2) standard-normal draws the caller has made;
+        ``noise`` holds (m, 2) standard-normal draws the caller has made, in
+        the order the :mod:`spatialqkd.protocol` docstring lists;
         ``prep_code`` and ``meas_code`` are the basis codes of the preparing
         and the measuring station and ``idx`` the prepared character.
-
-        The callers' draw order fixes the transcripts: ``attack_batch`` draws
-        tap decisions, attack bases, then this noise; ``_measure_batch``
-        draws this noise, jitter, background decisions, background cells,
-        then loss.
         """
         # ``c + (sign * sigma) * noise``, ``c`` the sent center or zero, is
         # bit-equal to ``sign * (sign * c + sigma * noise)``: negation is

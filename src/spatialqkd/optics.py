@@ -11,7 +11,10 @@ The discrete transform convention used throughout keeps power exactly
 conserved: a lens step multiplies the centered FFT by ``step**2 / (lam * f)``
 and rescales the grid half-extent to ``lam * f * n / (4 * extent)``.  The
 centered DFT applied twice is ``n**2`` times the point inversion on the
-sample lattice, so a chain of any length costs one transform.
+sample lattice, so the plane after any lens is the input or its one
+transform, inverted or not, times a real factor.  A chain thus costs one
+transform, and as the containment check's border frame is symmetric about
+the grid origin, only those two planes need checking.
 """
 
 from __future__ import annotations
@@ -352,13 +355,16 @@ _BORDER_POWER_TOL = 1e-6
 
 
 def _check_contained(field: OpticalField, where: str) -> None:
+    """Refuse a field with power in the border frame.  Its inner window,
+    ``[b + 1, n - b)`` on both axes, is symmetric about the origin ``n/2``,
+    so inverting or scaling a field keeps its border fraction."""
     n = field.n
     border = max(1, int(round(_BORDER_FRACTION * n)))
     intensity = field.intensity()
     total = float(intensity.sum())
     if total <= 0:
         raise SamplingError(f"zero-power field {where}")
-    inner = float(intensity[border:n - border, border:n - border].sum())
+    inner = float(intensity[border + 1:n - border, border + 1:n - border].sum())
     frac = (total - inner) / total
     if frac > _BORDER_POWER_TOL:
         raise SamplingError(
@@ -373,26 +379,28 @@ def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
 
     Each lens applies one optical Fourier transform with grid rescaling, but
     only the first is computed: the plane after lens ``j + 1`` is the one
-    before lens ``j``, point-inverted and scaled by ``f_j / f_(j+1)``.  The
-    input field and the output of every lens must keep essentially all power
-    away from the grid border; otherwise :class:`SamplingError` is raised
-    naming the lens after which containment failed.
+    before lens ``j``, point-inverted and scaled by ``f_j / f_(j+1)``.  Every
+    plane thus shares the border fraction of the input or of that transform,
+    so only those two are checked; power near the grid border in either
+    raises :class:`SamplingError` naming it.
     """
     focal_lengths = tuple(number("focal length", f, "(0, inf)", GeometryError)
                           for f in focal_lengths)
     _check_contained(field, "at the chain input")
-    before, out = None, field
-    for idx, f in enumerate(focal_lengths):
-        if idx == 0:
-            before, out = out, _lens_step(out, f)
-        else:
-            extent = field.wavelength * f * field.n / (4.0 * out.extent)
-            before, out = out, OpticalField(
-                _inverted(before.samples) * (focal_lengths[idx - 1] / f),
-                extent, field.wavelength)
-        _check_contained(out, f"after lens {idx + 1} of {len(focal_lengths)} "
-                              f"(focal length {f:g} m)")
-    return out
+    if not focal_lengths:
+        return field
+    k, f0 = len(focal_lengths), focal_lengths[0]
+    first = _lens_step(field, f0)
+    _check_contained(first, f"after lens 1 of {k} (focal length {f0:g} m)")
+    extent = field.extent
+    for f in focal_lengths:
+        extent = field.wavelength * f * field.n / (4.0 * extent)
+    out = (first if k % 2 else field).samples
+    if k // 2 % 2:
+        out = _inverted(out)
+    for j in range(k % 2 + 2, k + 1, 2):
+        out = out * (focal_lengths[j - 2] / focal_lengths[j - 1])
+    return OpticalField(out, extent, field.wavelength)
 
 
 def _inverted(samples: np.ndarray) -> np.ndarray:
@@ -401,11 +409,7 @@ def _inverted(samples: np.ndarray) -> np.ndarray:
 
 
 def point_inverted(field: OpticalField) -> OpticalField:
-    """Point inversion about the grid origin, exact on the sample lattice.
-
-    With the origin at index ``n/2``, inversion flips both axes and rolls by
-    one sample so that index ``n/2`` stays fixed.
-    """
+    """Point inversion about the grid origin, exact on the sample lattice."""
     return OpticalField(_inverted(field.samples), field.extent,
                         field.wavelength)
 

@@ -10,10 +10,18 @@ The engine is vectorized and batched.  Batch ``b`` of a session with seed
 ``s`` uses the generator seeded with ``[s, b]``, so transcripts are
 reproducible bit for bit.  They stay so only because :data:`BATCH_SIZE` is a
 fixed constant: a different batch size splits the rounds over different
-generators and gives a different transcript.  Each batch makes its draws
-at full size; the per-round arithmetic then runs over private compute slices
-that keep temporaries in cache, and their size is free to tune.  Error
-estimation and key flattening draw from their own fixed substreams.
+generators and gives a different transcript.  A batch of ``m`` rounds makes
+these draws, in this order and at full size: the sender's bases,
+``integers(0, 2, m)``, and characters, ``choice(d, m, p=P)``; under an
+active attack only, the taps (``random(m)`` below ``eta``), the attacker's
+bases, ``integers(0, 2, m)``, and her position noise,
+``standard_normal((m, 2))``; the receiver's bases, ``integers(0, 2, m)``;
+his position noise and jitter, two ``standard_normal((m, 2))``; background
+(``random(m)`` below the background weight), its cell,
+``integers(0, d, m)``, and loss (``random(m)`` below ``loss_prob``).  The
+per-round arithmetic then runs over private compute slices that keep
+temporaries in cache, and their size is free to tune.  Error estimation and
+key flattening draw from their own fixed substreams.
 """
 
 from __future__ import annotations
@@ -125,10 +133,8 @@ def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
                    prep_idx: np.ndarray, bob_basis: np.ndarray,
                    model: GaussianModel, noise: NoiseModel,
                    present: np.ndarray | None = None) -> np.ndarray:
-    """Detected cell index per round, -1 for no detection.
-
-    The draw order is documented in ``GaussianModel.sample_plane``.
-    """
+    """Detected cell index per round, -1 for no detection; the module
+    docstring lists the draws."""
     m = prep_idx.shape[0]
     d = model.alphabet.d
     b_noise = rng.standard_normal((m, 2))

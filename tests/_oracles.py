@@ -7,7 +7,8 @@ with ``nearest_cell`` but recomputes the whole grid on every call, the
 field references build full 2-D meshgrids, and the lens-chain reference
 computes one centered FFT per lens.  The mutual information is computed
 from the full joint distribution with both marginals, where the package has
-only its closed form.
+only its closed form.  The session reference runs each round in plain
+Python and decodes by the full distance matrix.
 """
 
 import numpy as np
@@ -219,3 +220,177 @@ def sample_plane_reference(model, noise, prep_code, idx, meas_code):
                        sign[:, None] * model.alphabet.centers[idx], 0.0)
     sigma = np.where(matched, model.aperture_waist, model.envelope_waist) / 2.0
     return sign[:, None] * (centers + sigma[:, None] * noise)
+
+
+def _decode_bruteforce(points, alphabet, chunk: int = 4096):
+    """Nearest cell of each point by :func:`nearest_center_bruteforce` and
+    whether the point lies in it by :func:`hex_contains`, as lists."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    near = np.concatenate([np.zeros(0, np.intp)] + [
+        nearest_center_bruteforce(points[i:i + chunk], alphabet.centers,
+                                  alphabet.spacing)
+        for i in range(0, len(points), chunk)])
+    inside = hex_contains(points, alphabet.centers[near].T, alphabet.cell_radius)
+    return near.tolist(), inside.tolist()
+
+
+def session_reference(config):
+    """A session run round by round in plain Python, from the docstrings.
+
+    Each batch makes the generator calls the ``protocol`` docstring lists,
+    in order and at full batch size.  Each round then takes the position
+    ``sign * (c + sigma * noise)`` of :func:`sample_plane_reference` (plus
+    ``sign`` times the jitter), the nearest centre by brute force and the
+    hexagon test, the attacker's scalar evidence scores, and background
+    before loss.  Sifting, the error-estimation sample and the flattening
+    follow.  Returns the eight round columns (as the log's dtypes), the
+    ``stats.json`` text and the two keys.
+    """
+    import json
+    import math
+
+    from spatialqkd.protocol import (_ESTIMATE_STREAM, _FLATTEN_STREAM,
+                                     BATCH_SIZE, MIN_SAMPLES_PER_CHAR)
+
+    alphabet = config.build_alphabet()
+    model = config.build_model(alphabet)
+    d, labels, centers = alphabet.d, alphabet.labels, alphabet.centers.tolist()
+    probs = (np.full(d, 1.0 / d) if config.session.source == "uniform"
+             else model.source())
+    adv, noise = config.adversary, config.noise
+    n, seed = config.session.rounds, config.session.seed
+    sig_ap, sig_env = model.aperture_waist / 2.0, model.envelope_waist / 2.0
+    area = float(alphabet.cell_area)
+    beta = d * noise.background_prob / (1.0 + d * noise.background_prob)
+    suppress = (adv.strategy == "suppress_on_evidence"
+                and adv.evidence_threshold > 0)
+
+    def position(nx, ny, prep, cell, meas):
+        sign = 2.0 * meas - 1.0
+        cx, cy = ((sign * centers[cell][0], sign * centers[cell][1])
+                  if prep == meas else (0.0, 0.0))
+        sigma = sig_ap if prep == meas else sig_env
+        return sign * (cx + sigma * nx), sign * (cy + sigma * ny)
+
+    def density(r2, sigma):
+        return (area * math.exp(-0.5 * r2 / sigma ** 2)
+                / (2.0 * math.pi * sigma ** 2))
+
+    cols = {name: [] for name in ("alice_basis", "bob_basis", "sent",
+                                  "received", "attacked", "eve_basis",
+                                  "eve_measured", "eve_dropped")}
+    for batch, start in enumerate(range(0, n, BATCH_SIZE)):
+        m = min(BATCH_SIZE, n - start)
+        rng = np.random.default_rng([seed, batch])
+        a_basis = rng.integers(0, 2, m).tolist()
+        a_idx = rng.choice(d, size=m, p=probs).tolist()
+        if adv.active:
+            tapped = (rng.random(m) < adv.eta).tolist()
+            e_basis = rng.integers(0, 2, m).tolist()
+            e_noise = rng.standard_normal((m, 2)).tolist()
+            e_pos = [position(*e_noise[i], a_basis[i], a_idx[i], e_basis[i])
+                     for i in range(m)]
+            e_idx, _ = _decode_bruteforce(e_pos, alphabet)
+        else:
+            tapped, e_basis, e_idx = [False] * m, [0] * m, [-1] * m
+        b_basis = rng.integers(0, 2, m).tolist()
+        b_noise = rng.standard_normal((m, 2)).tolist()
+        jitter = rng.standard_normal((m, 2)).tolist()
+        bg_u, bg_cell = rng.random(m).tolist(), rng.integers(0, d, m).tolist()
+        loss_u = rng.random(m).tolist()
+
+        dropped, b_pos = [], []
+        for i in range(m):
+            drop = False
+            if tapped[i] and suppress:
+                x, y = e_pos[i]
+                rx, ry = x - centers[e_idx[i]][0], y - centers[e_idx[i]][1]
+                same = density(rx * rx + ry * ry, sig_ap)
+                crossed = density(x * x + y * y, sig_env)
+                eps = adv.evidence_threshold
+                drop = same < eps and crossed >= eps
+            dropped.append(drop)
+            prep, cell = ((e_basis[i], e_idx[i]) if tapped[i]
+                          else (a_basis[i], a_idx[i]))
+            x, y = position(*b_noise[i], prep, cell, b_basis[i])
+            sign = 2.0 * b_basis[i] - 1.0
+            if noise.jitter_sigma:
+                x += sign * (noise.jitter_sigma * jitter[i][0])
+                y += sign * (noise.jitter_sigma * jitter[i][1])
+            b_pos.append((x, y))
+        near, inside = _decode_bruteforce(b_pos, alphabet)
+        received = []
+        for i in range(m):
+            out = near[i] if inside[i] and not dropped[i] else -1
+            if bg_u[i] < beta:
+                out = bg_cell[i]
+            if loss_u[i] < noise.loss_prob:
+                out = -1
+            received.append(out)
+        for name, values in (("alice_basis", a_basis), ("bob_basis", b_basis),
+                             ("sent", a_idx), ("received", received),
+                             ("attacked", tapped), ("eve_basis", e_basis),
+                             ("eve_measured", e_idx), ("eve_dropped", dropped)):
+            cols[name] += values
+
+    rounds = range(n)
+    sifted = [i for i in rounds if cols["alice_basis"][i] == cols["bob_basis"][i]
+              and cols["received"][i] >= 0]
+    ns = len(sifted)
+    fraction = config.session.sample_fraction
+    k = max(min(ns, int(round(fraction * ns))), 1) if ns else 0
+    est_rng = np.random.default_rng([seed, _ESTIMATE_STREAM])
+    chosen = set(est_rng.choice(ns, size=k, replace=False).tolist()) if k else set()
+    per_char, counts, wrong, low = {}, {}, 0, k == 0
+    for code, key in ((1, "FF"), (0, "II")):
+        n_c, w_c = [0] * d, [0] * d
+        for j in chosen:
+            i = sifted[j]
+            if cols["alice_basis"][i] == code:
+                n_c[cols["sent"][i]] += 1
+                w_c[cols["sent"][i]] += cols["sent"][i] != cols["received"][i]
+        per_char[key] = {lab: w / c if c else None
+                         for lab, w, c in zip(labels, w_c, n_c)}
+        counts[key] = dict(zip(labels, n_c))
+        low = low or min(n_c) < MIN_SAMPLES_PER_CHAR
+        wrong += sum(w_c)
+
+    rest = [sifted[j] for j in range(ns) if j not in chosen]
+    tape = np.random.default_rng([seed, _FLATTEN_STREAM]).random(len(rest)).tolist()
+    p = probs.tolist()
+    p_min = min(p)
+    keys = [[labels[c] for c, u in zip((cols[col][i] for i in rest), tape)
+             if u < p_min / p[c]] for col in ("sent", "received")]
+
+    attacked = [i for i in rounds if cols["attacked"][i]]
+    hits = [cols["eve_measured"][i] for i in attacked
+            if cols["eve_basis"][i] == cols["alice_basis"][i]]
+    eve_bits = 0.0
+    if hits:
+        freq = np.bincount(hits, minlength=d).astype(np.float64)
+        freq = freq[freq > 0] / len(hits)
+        eve_bits = len(hits) / len(attacked) * float(-(freq * np.log2(freq)).sum())
+    detected = sum(r >= 0 for r in cols["received"])
+    stats = {
+        "rounds": n, "alphabet_size": d, "seed": seed,
+        "strategy": adv.strategy, "eta": adv.eta, "detected": detected,
+        "loss_rate": 1.0 - detected / n if n else 0.0, "sifted": ns,
+        "sifted_fraction": ns / detected if detected else 0.0,
+        "sent_histogram": {lab: cols["sent"].count(j)
+                           for j, lab in enumerate(labels)},
+        "error": {"average": wrong / k if k else None, "sample_size": k,
+                  "low_confidence": low, "per_char": per_char,
+                  "counts": counts},
+        "eve": {"attacked": len(attacked),
+                "dropped": sum(cols["eve_dropped"]),
+                "matched_basis": len(hits),
+                "info_bits_per_photon": eve_bits},
+        "key": {"alice_length": len(keys[0]), "bob_length": len(keys[1]),
+                "keep_fraction": len(keys[0]) / len(rest) if rest else 0.0,
+                "expected_keep_fraction": float(d * probs.min())},
+    }
+    dtypes = {"alice_basis": np.int8, "bob_basis": np.int8, "eve_basis": np.int8,
+              "attacked": bool, "eve_dropped": bool}
+    columns = {name: np.array(values, dtype=dtypes.get(name, np.int64))
+               for name, values in cols.items()}
+    return columns, json.dumps(stats, indent=2, sort_keys=True), keys[0], keys[1]

@@ -69,6 +69,17 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_json('{"session": {"keep_log": false}}')
         assert cfg.session.keep_log is False
 
+    def test_eta_needs_a_strategy(self):
+        """A tapped fraction with no attack strategy would attack nothing."""
+        for data in ({"eta": 0.5}, {"strategy": "none", "eta": 1e-9}):
+            with pytest.raises(ValueError, match="needs an attack strategy"):
+                AdversarySpec(**data)
+            with pytest.raises(ConfigError, match="needs an attack strategy"):
+                ExperimentConfig.from_dict({"adversary": data})
+        assert not AdversarySpec(strategy="none", eta=0.0).active
+        for strategy in STRATEGIES[1:]:
+            assert AdversarySpec(strategy=strategy, eta=0.5).active
+
     def test_coarse_grid_reports_both_problems(self):
         cfg = ExperimentConfig(geometry=Geometry(grid_samples=64))
         with pytest.raises(ConfigError) as err:
@@ -172,6 +183,16 @@ class TestOverride:
         assert new.adversary.strategy == "intercept_resend"
         assert cfg.session.rounds == 100_000  # original untouched
 
+    def test_eta_without_strategy_refused(self):
+        with pytest.raises(ConfigError, match="eta 0.5 needs an attack"):
+            ExperimentConfig().override(eta=0.5)
+        attacked = ExperimentConfig().override(eta=0.5,
+                                               strategy="intercept_resend")
+        with pytest.raises(ConfigError, match="needs an attack"):
+            attacked.override(strategy="none")
+        assert attacked.override(strategy="none", eta=0.0).adversary == \
+            AdversarySpec()
+
     def test_none_values_ignored(self):
         cfg = ExperimentConfig()
         assert cfg.override(rounds=None, eta=None) == cfg
@@ -243,9 +264,18 @@ class TestCliSimulate:
 
     def test_every_strategy_runs(self, tmp_path):
         for strategy in STRATEGIES:
-            assert main(["simulate", "--rounds", "1000", "--eta", "0.5",
+            eta = ["--eta", "0.5"] if strategy != "none" else []
+            assert main(["simulate", "--rounds", "1000", *eta,
                          "--strategy", strategy,
                          "--out", str(tmp_path / strategy)]) == 0
+
+    def test_eta_without_strategy_refused_before_running(self, tmp_path,
+                                                         capsys):
+        for strategy in ([], ["--strategy", "none"]):
+            assert_refused_before_output(
+                ["simulate", "--rounds", "20000", "--eta", "0.5", *strategy],
+                tmp_path / "o")
+            assert "needs an attack strategy" in capsys.readouterr().err
 
     def test_round_log_without_log_refused_before_running(self, tmp_path,
                                                           capsys):

@@ -1,5 +1,10 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialqkd import optics
 from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
@@ -178,8 +183,9 @@ class TestOneTransformPerChain:
 
     @pytest.mark.parametrize("lenses", range(7))
     def test_every_plane_checked_once(self, geom, monkeypatch, lenses):
-        """Each plane's containment check runs, one transform runs, and the
-        input, plane 0 of the chain, is left as the caller passed it."""
+        """Every plane's border fraction is checked once, through the two
+        planes that carry it: the input, then the one transform.  The input
+        is left as the caller passed it."""
         wheres, steps = [], []
         check, step = optics._check_contained, optics._lens_step
 
@@ -198,11 +204,58 @@ class TestOneTransformPerChain:
         chain = UNEQUAL_FOCALS[:lenses]
         out = propagate_chain(field, chain)
         assert wheres == ["at the chain input"] + [
-            f"after lens {i + 1} of {lenses} (focal length {f:g} m)"
-            for i, f in enumerate(chain)]
+            f"after lens 1 of {lenses} (focal length {f:g} m)"
+            for f in chain[:1]]
         assert steps == list(chain[:1])
         assert np.array_equal(field.samples, before)
-        assert lenses == 0 or not np.shares_memory(out.samples, field.samples)
+        if lenses:
+            assert not np.shares_memory(out.samples, field.samples)
+        else:
+            assert out is field
+
+
+def _border_fraction(field):
+    """The fraction of power the containment check finds in its border
+    frame, read from the error it raises when every fraction fails."""
+    with mock.patch.object(optics, "_BORDER_POWER_TOL", -1.0):
+        with pytest.raises(SamplingError) as err:
+            optics._check_contained(field, "here")
+    return float(re.search(r"fraction (\S+)", str(err.value)).group(1))
+
+
+def _contained(field):
+    try:
+        optics._check_contained(field, "here")
+    except SamplingError:
+        return False
+    return True
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), half=st.integers(8, 40),
+       spill=st.sampled_from([0.0, 1e-5, 0.1, 1.0]),
+       scale=st.floats(1e-3, 1e3))
+def test_border_frame_is_origin_symmetric(seed, half, spill, scale):
+    """A field, its point inversion and a positive multiple of it get the
+    same border fraction and the same verdict."""
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    samples = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # Damp a frame two samples wider than the border by ``spill``, so the
+    # verdict is clear-cut: contained for the two small values, not for the
+    # two large ones.
+    b = max(1, round(0.05 * n)) + 2
+    damped = np.ones((n, n), dtype=bool)
+    damped[b:n - b + 1, b:n - b + 1] = False
+    samples[damped] *= spill
+    field = OpticalField(samples, 1e-3, 5e-7)
+    variants = (point_inverted(field),
+                OpticalField(samples * scale, field.extent, field.wavelength))
+    frac = _border_fraction(field)
+    for other in variants:
+        assert _border_fraction(other) == pytest.approx(frac, rel=1e-3,
+                                                        abs=1e-13)
+        assert _contained(other) == _contained(field) == (spill < 0.1)
 
 
 class TestAnalyticEquivalence:

@@ -1,21 +1,28 @@
-"""Fixed-seed session transcripts, pinned by SHA-256.
+"""Fixed-seed session transcripts, pinned by SHA-256 and checked against
+the per-round reference engine.
 
 Each case hashes the files ``spatialqkd simulate`` would write: the
 statistics, both keys and the full round log.  The cases cover detector
 noise with a round count that is a multiple of no internal block size, both
 attack strategies, a large alphabet and an alphabet off the lattice, whose
 decoding goes through the k-d tree.  A change to the engine that alters a
-single draw or a single decoded cell moves one of these hashes.
+single draw or a single decoded cell moves one of these hashes.  The same
+cases, with an empty and a one-round session, must also come out of
+``_oracles.session_reference`` byte for byte.
 """
 
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spatialqkd.adversary import AdversarySpec
+from spatialqkd.adversary import STRATEGIES, AdversarySpec
 from spatialqkd.alphabet import HexAlphabet, build_hex_alphabet
 from spatialqkd.config import AlphabetParams, ExperimentConfig, SessionParams
 from spatialqkd.protocol import NoiseModel, run_session
+
+from _oracles import session_reference
 
 _BASE37 = build_hex_alphabet(3, 200e-6)
 #: Every center a third of a spacing off its lattice site.
@@ -114,3 +121,48 @@ def test_off_lattice_case_decodes_by_tree():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_transcript_is_pinned(name, tmp_path):
     assert _digests(CASES[name], tmp_path) == PINNED[name]
+
+
+REFERENCE_CASES = {
+    **CASES,
+    "empty": ExperimentConfig(session=SessionParams(rounds=0, seed=15)),
+    "one_round": ExperimentConfig(
+        noise=NoiseModel(background_prob=0.01, jitter_sigma=20e-6),
+        adversary=AdversarySpec("suppress_on_evidence", eta=1.0),
+        session=SessionParams(rounds=1, seed=16)),
+}
+
+
+def _assert_matches_reference(config):
+    """The eight round columns, ``stats.json`` and both keys of
+    ``run_session`` equal the reference engine's byte for byte."""
+    result = run_session(config)
+    columns, stats_json, alice_key, bob_key = session_reference(config)
+    for column, ref in columns.items():
+        got = getattr(result.log, column)
+        assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), column
+    assert result.stats.to_json() == stats_json
+    assert (result.alice_key, result.bob_key) == (alice_key, bob_key)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_engine_matches_reference(name):
+    _assert_matches_reference(REFERENCE_CASES[name])
+
+
+@settings(max_examples=6)
+@given(strategy=st.sampled_from(STRATEGIES), eta=st.sampled_from([0.4, 1.0]),
+       rings=st.sampled_from([1, 3, 10]),
+       noise=st.tuples(st.sampled_from([0.0, 0.02]),
+                       st.sampled_from([0.0, 30e-6]),
+                       st.sampled_from([0.0, 0.3])),
+       rounds=st.sampled_from([1, 8_191, 8_193, 20_000, 65_537]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_engine_matches_reference_sweep(strategy, eta, rings, noise, rounds,
+                                        seed):
+    """Strategies, eta, the three noise parameters, d = 7, 37 and 331, and
+    round counts across the compute-slice and batch edges."""
+    _assert_matches_reference(ExperimentConfig(
+        alphabet=AlphabetParams(rings=rings), noise=NoiseModel(*noise),
+        adversary=AdversarySpec(strategy, eta if strategy != "none" else 0.0),
+        session=SessionParams(rounds=rounds, seed=seed)))
