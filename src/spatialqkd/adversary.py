@@ -102,14 +102,15 @@ def evidence_scores(positions: np.ndarray, nearest: np.ndarray,
     return same, crossed
 
 
-def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
-                 alice_idx: np.ndarray, model: "GaussianModel",
-                 spec: AdversarySpec) -> AttackArrays:
+def attack_batch(draws, alice_basis: np.ndarray, alice_idx: np.ndarray,
+                 model: "GaussianModel", spec: AdversarySpec) -> AttackArrays:
     """Apply the attack to a batch of prepared photons.
 
-    Consumes the same random draws for both active strategies, so a
-    suppression threshold of zero reproduces plain intercept-resend round for
-    round.  The :mod:`spatialqkd.protocol` docstring lists its draws.
+    ``draws`` are the taps' uniforms, the attacker's basis codes and her
+    (m, 2) position noise, made as the :mod:`spatialqkd.protocol` docstring
+    lists; they are not read, and may be ``None``, when the attack is
+    inactive.  Both active strategies read the same draws, so a suppression
+    threshold of zero reproduces plain intercept-resend round for round.
     """
     m = alice_idx.shape[0]
     if not spec.active:
@@ -119,9 +120,8 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
             measured_idx=np.full(m, -1, dtype=np.int64),
             dropped=np.zeros(m, dtype=bool),
         )
-    attacked = rng.random(m) < spec.eta
-    basis_code = rng.integers(0, 2, m).astype(np.int8)
-    noise = rng.standard_normal((m, 2))
+    tap, basis_code, noise = draws
+    attacked = tap < spec.eta
 
     measured_idx = np.empty(m, dtype=np.intp)
     dropped = np.zeros(m, dtype=bool)
@@ -137,25 +137,21 @@ def attack_batch(rng: np.random.Generator, alice_basis: np.ndarray,
                         measured_idx=measured_idx, dropped=dropped)
 
 
-def eve_information_estimate(matched: np.ndarray, measured_idx: np.ndarray,
-                             d: int) -> float:
+def eve_information_estimate(readouts: np.ndarray, attacked: int) -> float:
     """Empirical attacker information per tapped photon, in bits.
 
-    Only rounds where her basis matched the sender's yield usable records;
-    the estimate is the matched fraction times the empirical entropy of her
-    readouts on those rounds.
+    Only rounds where her basis matched the sender's yield usable records.
+    ``readouts`` is the histogram of her readouts on those rounds, one count
+    per character, and ``attacked`` the number of tapped photons; the
+    estimate is the matched fraction times the histogram's entropy.
     """
-    matched = np.asarray(matched, dtype=bool)
-    n = matched.shape[0]
-    if n == 0:
+    counts = np.asarray(readouts, dtype=np.float64)
+    hits = counts.sum()
+    if attacked == 0 or hits == 0:
         return 0.0
-    hits = np.asarray(measured_idx)[matched]
-    if hits.size == 0:
-        return 0.0
-    counts = np.bincount(hits, minlength=d).astype(np.float64)
-    freq = counts[counts > 0] / hits.size
+    freq = counts[counts > 0] / hits
     entropy = float(-(freq * np.log2(freq)).sum())
-    return hits.size / n * entropy
+    return float(hits / attacked * entropy)
 
 
 def eve_log_to_csv(path, round_index: np.ndarray, basis_code: np.ndarray,

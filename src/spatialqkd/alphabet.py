@@ -342,7 +342,8 @@ class ProbabilityMap:
     ``s`` lands in detection cell ``c``.  ``residual[config_label][s]`` is
     the probability of landing outside every cell.  All are read-only, and
     IF and FI are one broadcast of the envelope row.  The detection region
-    may cover more cells than the source alphabet.
+    may cover more cells than the source alphabet.  The given arrays are
+    copied, unless ``_owned`` hands them over to be clipped in place.
     """
 
     cell_labels: tuple[str, ...]
@@ -350,10 +351,11 @@ class ProbabilityMap:
     source_labels: tuple[str, ...]
     matched: InitVar[dict[str, np.ndarray]]
     envelope: InitVar[np.ndarray]
+    _owned: InitVar[bool] = False
     probs: dict[str, np.ndarray] = field(init=False)
     residual: dict[str, np.ndarray] = field(init=False)
 
-    def __post_init__(self, matched, envelope) -> None:
+    def __post_init__(self, matched, envelope, _owned) -> None:
         object.__setattr__(self, "cell_labels", tuple(self.cell_labels))
         object.__setattr__(self, "source_labels", tuple(self.source_labels))
         centers = np.asarray(self.cell_centers, dtype=np.float64)
@@ -377,7 +379,8 @@ class ProbabilityMap:
             if np.any(r < -1e-12):
                 raise ValueError(f"{key} has a row summing above 1")
             # Read-only views; the envelope's one row gets zero stride.
-            probs[key] = np.broadcast_to(np.clip(p, 0.0, None), (ns, nc))
+            p = np.clip(p, 0.0, None, out=p if _owned else None)
+            probs[key] = np.broadcast_to(p, (ns, nc))
             residual[key] = np.broadcast_to(np.clip(r, 0.0, None), (ns,))
         probs["IF"] = probs["FI"] = probs.pop("envelope")
         residual["IF"] = residual["FI"] = residual.pop("envelope")

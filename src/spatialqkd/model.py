@@ -57,20 +57,25 @@ def gaussian_polygon_integral(center, waist: float,
 
     with Phi the normal distribution function and phi its density, and each
     edge integral evaluated by fixed-order Gauss-Legendre quadrature.  Exact
-    to near machine precision for the smooth integrand.
+    to near machine precision for the smooth integrand.  Cache-sized slices
+    of polygons are integrated in turn; no result depends on the slicing.
     """
     polys = np.asarray(polygons, dtype=np.float64)
     if polys.ndim == 2:
         polys = polys[None]
     sigma = waist / 2.0
-    p1 = (polys - np.asarray(center, dtype=np.float64)) / sigma
-    p2 = np.roll(p1, -1, axis=1)
-    x = p1[..., 0, None] + (p2[..., 0] - p1[..., 0])[..., None] * _GL_T
-    y = p1[..., 1, None] + (p2[..., 1] - p1[..., 1])[..., None] * _GL_T
-    cdf_x = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-    pdf_y = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
-    edge = (p2[..., 1] - p1[..., 1]) * np.sum(cdf_x * pdf_y * _GL_WT, axis=-1)
-    return edge.sum(axis=-1)
+    out = np.empty(polys.shape[0])
+    step = max(1, _SLICE // (polys.shape[1] * _GL_NODES))
+    for s in range(0, polys.shape[0], step):
+        p1 = (polys[s:s + step] - np.asarray(center, dtype=np.float64)) / sigma
+        p2 = np.roll(p1, -1, axis=1)
+        x = p1[..., 0, None] + (p2[..., 0] - p1[..., 0])[..., None] * _GL_T
+        y = p1[..., 1, None] + (p2[..., 1] - p1[..., 1])[..., None] * _GL_T
+        cdf_x = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+        pdf_y = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
+        edge = (p2[..., 1] - p1[..., 1]) * np.sum(cdf_x * pdf_y * _GL_WT, axis=-1)
+        out[s:s + step] = edge.sum(axis=-1)
+    return out
 
 
 @dataclass(eq=False)
@@ -174,7 +179,8 @@ class GaussianModel:
                                      cell_centers=region.centers,
                                      source_labels=self.alphabet.labels,
                                      matched={"FF": ff, "II": ii},
-                                     envelope=self._envelope_masses())
+                                     envelope=self._envelope_masses(),
+                                     _owned=True)
         return self._table
 
     def source(self) -> np.ndarray:

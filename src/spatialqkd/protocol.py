@@ -6,12 +6,12 @@ Rounds with matching bases and a detection survive sifting; a random sample
 of the sifted pairs is spent on error estimation and the rest is flattened
 to a uniform key.
 
-The engine is vectorized and batched.  Batch ``b`` of a session with seed
-``s`` uses the generator seeded with ``[s, b]``, so transcripts are
-reproducible bit for bit.  They stay so only because :data:`BATCH_SIZE` is a
-fixed constant: a different batch size splits the rounds over different
-generators and gives a different transcript.  A batch of ``m`` rounds makes
-these draws, in this order and at full size: the sender's bases,
+The engine is vectorized and streams the rounds in chunks of
+:data:`BATCH_SIZE`.  Chunk ``b`` of a session with seed ``s`` draws from the
+generator seeded with ``[s, b]``, so transcripts are reproducible bit for
+bit, but only because :data:`BATCH_SIZE` is a fixed constant.
+:func:`_chunk_draws` is the draw-order contract.  A chunk of ``m`` rounds
+makes these draws, in this order and at full size: the sender's bases,
 ``integers(0, 2, m)``, and characters, ``choice(d, m, p=P)``; under an
 active attack only, the taps (``random(m)`` below ``eta``), the attacker's
 bases, ``integers(0, 2, m)``, and her position noise,
@@ -19,15 +19,21 @@ bases, ``integers(0, 2, m)``, and her position noise,
 his position noise and jitter, two ``standard_normal((m, 2))``; background
 (``random(m)`` below the background weight), its cell,
 ``integers(0, d, m)``, and loss (``random(m)`` below ``loss_prob``).  The
-per-round arithmetic then runs over private compute slices that keep
-temporaries in cache, and their size is free to tune.  Error estimation and
-key flattening draw from their own fixed substreams.
+generator is then discarded, so the trailing draws no round reads (loss,
+background and jitter while they and all later ones are zero) are left
+out.  With two or more chunks, one helper thread makes chunk ``b + 1``'s
+draws while the calling thread runs chunk ``b``; every other step, chunk
+0's draws included, stays on the calling thread.  The per-round arithmetic runs over private compute
+slices that keep temporaries in cache, and their size is free to tune.
+Error estimation and key flattening draw from their own fixed substreams.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -129,22 +135,41 @@ class SessionLog:
                   (fields(b) for b in row_blocks(len(self))))
 
 
-def _measure_batch(rng: np.random.Generator, prep_basis: np.ndarray,
-                   prep_idx: np.ndarray, bob_basis: np.ndarray,
-                   model: GaussianModel, noise: NoiseModel,
-                   present: np.ndarray | None = None) -> np.ndarray:
-    """Detected cell index per round, -1 for no detection; the module
-    docstring lists the draws."""
-    m = prep_idx.shape[0]
-    d = model.alphabet.d
-    b_noise = rng.standard_normal((m, 2))
-    jitter = rng.standard_normal((m, 2))
-    bg_u = rng.random(m)
-    bg_cell = rng.integers(0, d, m)
-    loss_u = rng.random(m)
+def _chunk_draws(seed: int, n: int, probs: np.ndarray, active: bool,
+                 noise: NoiseModel, chunk: int):
+    """Chunk ``chunk``'s generator calls, in order: ``(alice_basis, sent,
+    attack, bob_basis, measure)``; ``attack`` is None without an attack, and
+    so are the unread trailing ``measure`` draws."""
+    m = min(BATCH_SIZE, n - chunk * BATCH_SIZE)
+    rng = np.random.default_rng([seed, chunk])
+    alice_basis = rng.integers(0, 2, m).astype(np.int8)
+    sent = rng.choice(probs.size, size=m, p=probs)
+    attack = ((rng.random(m), rng.integers(0, 2, m).astype(np.int8),
+               rng.standard_normal((m, 2))) if active else None)
+    bob_basis = rng.integers(0, 2, m).astype(np.int8)
+    jitter, background, loss = (x > 0 for x in (
+        noise.jitter_sigma, noise.background_prob, noise.loss_prob))
+    measure = [rng.standard_normal((m, 2)), None, None, None, None]
+    if jitter or background or loss:
+        measure[1] = rng.standard_normal((m, 2))
+    if background or loss:
+        measure[2:4] = rng.random(m), rng.integers(0, probs.size, m)
+    if loss:
+        measure[4] = rng.random(m)
+    return alice_basis, sent, attack, bob_basis, measure
 
-    beta = noise.background_weight(d)
-    decoded = np.empty(m, dtype=np.intp)
+
+def _measure_batch(draws, prep_basis: np.ndarray, prep_idx: np.ndarray,
+                   bob_basis: np.ndarray, model: GaussianModel,
+                   noise: NoiseModel,
+                   present: np.ndarray | None = None) -> np.ndarray:
+    """Detected cell index per round, -1 for no detection.  ``draws`` are
+    the receiver's position noise, jitter, background uniforms and cells and
+    loss uniforms of :func:`_chunk_draws`; only those ``noise`` uses are
+    read."""
+    b_noise, jitter, bg_u, bg_cell, loss_u = draws
+    beta = noise.background_weight(model.alphabet.d)
+    decoded = np.empty(prep_idx.shape[0], dtype=np.intp)
     for s, _, idx, inside in model._decode_slices(
             b_noise, prep_basis, prep_idx, bob_basis, noise.jitter_sigma, jitter):
         if present is not None:
@@ -300,12 +325,68 @@ class SessionStats:
 class SessionResult:
     """Everything a session produces.  The error estimate is ``stats.error``;
     ``log``, kept when ``keep_log`` is set, is the one source of the
-    attacker's records, on the rounds ``np.flatnonzero(log.attacked)``."""
+    attacker's records, on the rounds ``np.flatnonzero(log.attacked)``.
+    Without it the session keeps only each chunk's sifted rows and counts,
+    so no per-round column outlives its chunk."""
 
     stats: SessionStats
     alice_key: list[str]
     bob_key: list[str]
     log: SessionLog | None
+
+
+def _stream(config: "ExperimentConfig", model: GaussianModel,
+            probs: np.ndarray, log: SessionLog | None):
+    """Run every chunk, filling ``log`` if given; return the sifted (basis
+    code, sent, received) rows, the detected, sifted, attacked, dropped and
+    matched counts, and the sent and matched-readout histograms."""
+    adv, noise, n = config.adversary, config.noise, config.session.rounds
+    d = probs.size
+    # Sifted rows, appended chunk by chunk: the pages past the last one
+    # written are never touched.
+    rows = (np.empty(n, np.int8), np.empty(n, np.int64), np.empty(n, np.int64))
+    counts = np.zeros(5, np.int64)
+    hist, eve_hist = np.zeros(d, np.int64), np.zeros(d, np.int64)
+    chunks = -(-n // BATCH_SIZE)
+    draw = partial(_chunk_draws, config.session.seed, n, probs, adv.active,
+                   noise)
+    # The pool starts its thread at the first submit: chunk 1's draws, made
+    # next to chunk 0's on this thread.  Then chunk b + 1 is drawn there
+    # while this thread runs chunk b.
+    with ThreadPoolExecutor(1) as pool:
+        ahead = None
+        for b in range(chunks):
+            current, ahead = ahead, (pool.submit(draw, b + 1)
+                                     if b + 1 < chunks else None)
+            a_basis, sent, attack, b_basis, measure = (
+                current.result() if current else draw(b))
+            atk = attack_batch(attack, a_basis, sent, model, adv)
+            prep_idx = np.where(atk.attacked, atk.measured_idx, sent)
+            prep_basis = np.where(atk.attacked, atk.basis_code,
+                                  a_basis).astype(np.int8)
+            received = _measure_batch(measure, prep_basis, prep_idx, b_basis,
+                                      model, noise,
+                                      present=~(atk.attacked & atk.dropped))
+            if log is not None:
+                c = slice(b * BATCH_SIZE, b * BATCH_SIZE + sent.shape[0])
+                log.alice_basis[c], log.bob_basis[c] = a_basis, b_basis
+                log.sent[c], log.received[c] = sent, received
+                log.attacked[c], log.eve_basis[c] = atk.attacked, atk.basis_code
+                log.eve_measured[c], log.eve_dropped[c] = atk.measured_idx, atk.dropped
+
+            detected = received >= 0
+            sift = (a_basis == b_basis) & detected
+            at, k = counts[1], np.count_nonzero(sift)
+            for row, column in zip(rows, (a_basis, sent, received)):
+                row[at:at + k] = column[sift]
+            counts[:2] += np.count_nonzero(detected), k
+            hist += np.bincount(sent, minlength=d)
+            if adv.active:
+                matched = atk.attacked & (atk.basis_code == a_basis)
+                counts[2:] += [np.count_nonzero(x) for x in
+                               (atk.attacked, atk.dropped, matched)]
+                eve_hist += np.bincount(atk.measured_idx[matched], minlength=d)
+    return tuple(row[:counts[1]] for row in rows), counts.tolist(), hist, eve_hist
 
 
 def run_session(config: "ExperimentConfig") -> SessionResult:
@@ -320,40 +401,21 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
         probs = np.full(alphabet.d, 1.0 / alphabet.d)
     else:
         probs = model.source()
-    noise = config.noise
     adv = config.adversary
     n = config.session.rounds
     seed = config.session.seed
     d = alphabet.d
 
-    # Each round column is allocated once, typed, and filled batch by batch.
     log = SessionLog(
         labels=alphabet.labels,
         alice_basis=np.empty(n, np.int8), bob_basis=np.empty(n, np.int8),
         sent=np.empty(n, np.int64), received=np.empty(n, np.int64),
         attacked=np.empty(n, bool), eve_basis=np.empty(n, np.int8),
-        eve_measured=np.empty(n, np.int64), eve_dropped=np.empty(n, bool))
-    for batch_index, start in enumerate(range(0, n, BATCH_SIZE)):
-        b = slice(start, min(start + BATCH_SIZE, n))
-        m = b.stop - start
-        rng = np.random.default_rng([seed, batch_index])
-        a_basis = log.alice_basis[b] = rng.integers(0, 2, m).astype(np.int8)
-        a_idx = log.sent[b] = rng.choice(d, size=m, p=probs)
-        atk = attack_batch(rng, a_basis, a_idx, model, adv)
-        log.attacked[b], log.eve_basis[b] = atk.attacked, atk.basis_code
-        log.eve_measured[b], log.eve_dropped[b] = atk.measured_idx, atk.dropped
-        prep_idx = np.where(atk.attacked, atk.measured_idx, a_idx)
-        prep_basis = np.where(atk.attacked, atk.basis_code, a_basis).astype(np.int8)
-        b_basis = log.bob_basis[b] = rng.integers(0, 2, m).astype(np.int8)
-        log.received[b] = _measure_batch(rng, prep_basis, prep_idx, b_basis,
-                                         model, noise,
-                                         present=~(atk.attacked & atk.dropped))
-
-    detected = log.received >= 0
-    sift_mask = (log.alice_basis == log.bob_basis) & detected
-    s_code = log.alice_basis[sift_mask]
-    s_sent = log.sent[sift_mask]
-    s_recv = log.received[sift_mask]
+        eve_measured=np.empty(n, np.int64), eve_dropped=np.empty(n, bool),
+    ) if config.session.keep_log else None
+    (s_code, s_sent, s_recv), counts, hist, eve_hist = _stream(
+        config, model, probs, log)
+    n_detected, n_sifted, n_attacked, n_dropped, n_matched = counts
 
     est_rng = np.random.default_rng([seed, _ESTIMATE_STREAM])
     estimate, keep = _estimate_from_arrays(
@@ -366,16 +428,8 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     tape = flat_rng.random(r_sent.shape[0])
     keep_a = _flatten_mask(tape, r_sent, probs)
     keep_b = _flatten_mask(tape, r_recv, probs)
-    alice_key = [alphabet.labels[i] for i in r_sent[keep_a]]
-    bob_key = [alphabet.labels[i] for i in r_recv[keep_b]]
-
-    attacked = log.attacked
-    matched_mask = attacked & (log.eve_basis == log.alice_basis)
-    eve_bits = eve_information_estimate(matched_mask[attacked],
-                                        log.eve_measured[attacked], d)
-    hist = np.bincount(log.sent, minlength=d)
-    n_detected = int(detected.sum())
-    n_sifted = int(sift_mask.sum())
+    alice_key = [alphabet.labels[i] for i in r_sent[keep_a].tolist()]
+    bob_key = [alphabet.labels[i] for i in r_recv[keep_b].tolist()]
 
     stats = SessionStats(
         rounds=n,
@@ -389,10 +443,10 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
         sifted_fraction=n_sifted / n_detected if n_detected else 0.0,
         sent_histogram={lab: int(c) for lab, c in zip(alphabet.labels, hist)},
         error=estimate,
-        eve_attacked=int(attacked.sum()),
-        eve_dropped=int(log.eve_dropped.sum()),
-        eve_matched=int(matched_mask.sum()),
-        eve_info_bits=eve_bits,
+        eve_attacked=n_attacked,
+        eve_dropped=n_dropped,
+        eve_matched=n_matched,
+        eve_info_bits=eve_information_estimate(eve_hist, n_attacked),
         key_alice_length=len(alice_key),
         key_bob_length=len(bob_key),
         key_keep_fraction=len(alice_key) / r_sent.shape[0] if r_sent.size else 0.0,
@@ -400,4 +454,4 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     )
 
     return SessionResult(stats=stats, alice_key=alice_key, bob_key=bob_key,
-                         log=log if config.session.keep_log else None)
+                         log=log)

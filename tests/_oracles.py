@@ -234,6 +234,20 @@ def _decode_bruteforce(points, alphabet, chunk: int = 4096):
     return near.tolist(), inside.tolist()
 
 
+def attack_draws(rng, m):
+    """The attacker's draws for ``m`` rounds, in the order the ``protocol``
+    docstring lists: tap uniforms, basis codes and (m, 2) position noise."""
+    return (rng.random(m), rng.integers(0, 2, m).astype(np.int8),
+            rng.standard_normal((m, 2)))
+
+
+def measure_draws(rng, m, d):
+    """All five of the receiver's draws for ``m`` rounds over ``d`` cells, in
+    the order the ``protocol`` docstring lists, whatever the noise reads."""
+    return (rng.standard_normal((m, 2)), rng.standard_normal((m, 2)),
+            rng.random(m), rng.integers(0, d, m), rng.random(m))
+
+
 def session_reference(config):
     """A session run round by round in plain Python, from the docstrings.
 

@@ -28,6 +28,8 @@ from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, analytic_amplitude,
                                point_inverted, propagate_chain)
 from spatialqkd.protocol import NoiseModel, run_session, _measure_batch
 
+from _oracles import measure_draws
+
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -76,8 +78,8 @@ def test_criterion_03_conjugate_blindness(model37):
         prep = np.full(m, prep_code, dtype=np.int8)
         bob = np.full(m, bob_code, dtype=np.int8)
         for k in range(37):
-            out = _measure_batch(rng, prep, np.full(m, k), bob, model37,
-                                 NoiseModel())
+            out = _measure_batch(measure_draws(rng, m, 37), prep,
+                                 np.full(m, k), bob, model37, NoiseModel())
             counts[37 * row + k] = np.bincount(out + 1, minlength=38)
     p_value = float(sps.chi2_contingency(counts)[1])
     mc_ok = p_value > 0.01

@@ -6,7 +6,14 @@ from spatialqkd.adversary import (AdversarySpec, attack_batch,
                                   evidence_scores)
 from spatialqkd.optics import BASIS_BY_CODE, Basis
 
+from _oracles import attack_draws
+
 F = BASIS_BY_CODE.index(Basis.F)
+
+
+def readouts(matched, measured):
+    """Histogram of the attacker's readouts where her basis matched."""
+    return np.bincount(measured[matched], minlength=37)
 
 
 def scores(positions, model):
@@ -78,7 +85,7 @@ class TestEvidenceScores:
 class TestAttackBatch:
     def test_inactive_strategy_returns_zeros(self, model37):
         rng = np.random.default_rng(1)
-        out = attack_batch(rng, np.zeros(10, np.int8), np.zeros(10, np.int64),
+        out = attack_batch(None, np.zeros(10, np.int8), np.zeros(10, np.int64),
                            model37, AdversarySpec())
         assert not out.attacked.any()
         assert not out.dropped.any()
@@ -88,7 +95,7 @@ class TestAttackBatch:
         rng = np.random.default_rng(2)
         m = 40_000
         spec = AdversarySpec(strategy="intercept_resend", eta=0.3)
-        out = attack_batch(rng, np.zeros(m, np.int8),
+        out = attack_batch(attack_draws(rng, m), np.zeros(m, np.int8),
                            np.zeros(m, np.int64), model37, spec)
         frac = out.attacked.mean()
         assert abs(frac - 0.3) < 5 * np.sqrt(0.3 * 0.7 / m)
@@ -99,8 +106,8 @@ class TestAttackBatch:
         sent = rng.integers(0, 37, m)
         a_basis = rng.integers(0, 2, m).astype(np.int8)
         spec = AdversarySpec(strategy="intercept_resend", eta=1.0)
-        out = attack_batch(np.random.default_rng(4), a_basis, sent, model37,
-                           spec)
+        out = attack_batch(attack_draws(np.random.default_rng(4), m), a_basis,
+                           sent, model37, spec)
         matched = out.basis_code == a_basis
         hit = out.measured_idx[matched] == sent[matched]
         assert hit.mean() > 0.99
@@ -111,19 +118,20 @@ class TestAttackBatch:
         rng = np.random.default_rng(5)
         spec = AdversarySpec(strategy="intercept_resend", eta=1.0,
                              evidence_threshold=10.0)
-        out = attack_batch(rng, np.zeros(5_000, np.int8),
-                          np.zeros(5_000, np.int64), model37, spec)
+        out = attack_batch(attack_draws(rng, 5_000), np.zeros(5_000, np.int8),
+                           np.zeros(5_000, np.int64), model37, spec)
         assert not out.dropped.any()
 
     def test_zero_threshold_matches_plain_stream(self, model37):
         m = 10_000
         a_basis = np.random.default_rng(6).integers(0, 2, m).astype(np.int8)
         sent = np.random.default_rng(7).integers(0, 37, m)
-        plain = attack_batch(np.random.default_rng(8), a_basis, sent, model37,
+        plain = attack_batch(attack_draws(np.random.default_rng(8), m),
+                             a_basis, sent, model37,
                              AdversarySpec(strategy="intercept_resend",
                                            eta=0.7))
-        zero = attack_batch(np.random.default_rng(8), a_basis, sent, model37,
-                            AdversarySpec(strategy="suppress_on_evidence",
+        zero = attack_batch(attack_draws(np.random.default_rng(8), m),
+                            a_basis, sent, model37, AdversarySpec(strategy="suppress_on_evidence",
                                           eta=0.7, evidence_threshold=0.0))
         assert np.array_equal(plain.attacked, zero.attacked)
         assert np.array_equal(plain.basis_code, zero.basis_code)
@@ -137,7 +145,7 @@ class TestAttackBatch:
         sent = np.random.default_rng(10).integers(0, 37, m)
         spec = AdversarySpec(strategy="suppress_on_evidence", eta=1.0,
                              evidence_threshold=1e-4)
-        out = attack_batch(rng, a_basis, sent, model37, spec)
+        out = attack_batch(attack_draws(rng, m), a_basis, sent, model37, spec)
         assert out.dropped.sum() > 0
         mismatched = out.basis_code != a_basis
         assert np.all(mismatched[out.dropped])
@@ -145,7 +153,8 @@ class TestAttackBatch:
 
     def test_intercept_resend_round(self, model37):
         idx = model37.alphabet.index_of("7")
-        out = attack_batch(np.random.default_rng(12), np.array([F], np.int8),
+        out = attack_batch(attack_draws(np.random.default_rng(12), 1),
+                           np.array([F], np.int8),
                            np.array([idx]), model37,
                            AdversarySpec(strategy="intercept_resend", eta=1.0))
         assert out.attacked.tolist() == [True]
@@ -158,7 +167,8 @@ class TestAttackBatch:
         for the matched-basis leakage of the quadrature table."""
         m = 40_000
         idx = model37.alphabet.index_of("7")
-        out = attack_batch(np.random.default_rng(100), np.full(m, F, np.int8),
+        out = attack_batch(attack_draws(np.random.default_rng(100), m),
+                           np.full(m, F, np.int8),
                            np.full(m, idx), model37,
                            AdversarySpec(strategy="intercept_resend", eta=1.0))
         matched = out.basis_code == F
@@ -169,7 +179,8 @@ class TestAttackBatch:
 
     def test_suppression_round_can_drop(self, model37):
         m = 300
-        out = attack_batch(np.random.default_rng(1000), np.full(m, F, np.int8),
+        out = attack_batch(attack_draws(np.random.default_rng(1000), m),
+                           np.full(m, F, np.int8),
                            np.full(m, model37.alphabet.index_of("0")), model37,
                            AdversarySpec(strategy="suppress_on_evidence",
                                          eta=1.0, evidence_threshold=1e-4))
@@ -182,7 +193,7 @@ class TestAttackBatch:
         rng = np.random.default_rng(11)
         spec = AdversarySpec(strategy="suppress_on_evidence", eta=1.0,
                              evidence_threshold=1e9)
-        out = attack_batch(rng, np.zeros(2_000, np.int8),
+        out = attack_batch(attack_draws(rng, 2_000), np.zeros(2_000, np.int8),
                            np.zeros(2_000, np.int64), model37, spec)
         assert not out.dropped.any()
 
@@ -191,26 +202,29 @@ class TestEveInformation:
     def test_all_matched_uniform(self):
         matched = np.ones(370, dtype=bool)
         measured = np.tile(np.arange(37), 10)
-        bits = eve_information_estimate(matched, measured, 37)
+        bits = eve_information_estimate(readouts(matched, measured),
+                                        matched.size)
         assert bits == pytest.approx(np.log2(37))
 
     def test_half_matched_scales(self):
         matched = np.zeros(740, dtype=bool)
         matched[:370] = True
         measured = np.tile(np.arange(37), 20)
-        bits = eve_information_estimate(matched, measured, 37)
+        bits = eve_information_estimate(readouts(matched, measured),
+                                        matched.size)
         assert bits == pytest.approx(0.5 * np.log2(37))
 
     def test_empty(self):
-        assert eve_information_estimate(np.zeros(0, bool),
-                                        np.zeros(0, np.int64), 37) == 0.0
-        assert eve_information_estimate(np.zeros(5, bool),
-                                        np.arange(5), 37) == 0.0
+        assert eve_information_estimate(
+            readouts(np.zeros(0, bool), np.zeros(0, np.int64)), 0) == 0.0
+        assert eve_information_estimate(
+            readouts(np.zeros(5, bool), np.arange(5)), 5) == 0.0
 
     def test_constant_readout_is_zero_bits(self):
         matched = np.ones(100, dtype=bool)
         measured = np.full(100, 4)
-        assert eve_information_estimate(matched, measured, 37) == 0.0
+        assert eve_information_estimate(readouts(matched, measured),
+                                        matched.size) == 0.0
 
 
 class TestEveLog:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -339,6 +341,32 @@ class TestProbabilityMap:
             assert matched[key] is arrays[key]
             assert np.array_equal(matched[key], before[key])
             assert not np.shares_memory(built.probs[key], matched[key])
+
+    def test_owned_blocks_are_clipped_in_place(self):
+        """Handed-over blocks are not copied, so building a map peaks at the
+        size it holds; the result equals the copying build's."""
+        n = 400
+        rng = np.random.default_rng(8)
+        labels = tuple(f"c{i}" for i in range(n))
+        centers = rng.random((n, 2))
+        ff = rng.random((n, n)) / n
+        ff[0, :3] = -1e-13, -0.0, 0.0  # clipped, within tolerance
+        matched, envelope = {"FF": ff, "II": ff[::-1].copy()}, ff[1].copy()
+        copied = ProbabilityMap(labels, centers, labels,
+                                {k: v.copy() for k, v in matched.items()},
+                                envelope.copy())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            owned = ProbabilityMap(labels, centers, labels, matched, envelope,
+                                   _owned=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * matched["FF"].nbytes
+        for key in ("FF", "II", "IF"):
+            assert owned.probs[key].tobytes() == copied.probs[key].tobytes()
+            assert owned.residual[key].tobytes() == copied.residual[key].tobytes()
 
     def test_column_lookup(self, model37, alphabet37):
         table = model37.probability_table()

@@ -302,6 +302,18 @@ class TestCliSimulate:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_streamed_rounds_beyond_memory(self, tmp_path, capsys):
+        """Without the round log the sifted-row buffers ask for as much."""
+        path = tmp_path / "nolog.json"
+        ExperimentConfig(session=SessionParams(keep_log=False)).save(path)
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "o"),
+                     "--rounds", "1000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_invalid_override_value(self, tmp_path, small_config, capsys):
         code = main(["simulate", "--config", small_config,
                      "--out", str(tmp_path / "o"), "--eta", "1.7",

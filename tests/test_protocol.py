@@ -1,16 +1,21 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from spatialqkd.adversary import AdversarySpec
+from spatialqkd import adversary, protocol
+from spatialqkd.adversary import STRATEGIES, AdversarySpec
+from spatialqkd.alphabet import HexAlphabet
 from spatialqkd.config import ConfigError, ExperimentConfig, SessionParams
 from spatialqkd.optics import BASIS_BY_CODE, Basis
 from spatialqkd.protocol import (BATCH_SIZE, NoiseModel, run_session,
                                  _estimate_from_arrays, _flatten_mask,
                                  _measure_batch)
+
+from _oracles import measure_draws
 
 F = BASIS_BY_CODE.index(Basis.F)
 I = BASIS_BY_CODE.index(Basis.I)
@@ -27,7 +32,8 @@ def make_config(**session_kwargs):
 def measure(model, rng, char, prep, bob, m, noise=NoiseModel()):
     """``m`` photons of one character through ``_measure_batch``."""
     idx = np.full(m, model.alphabet.index_of(char))
-    out = _measure_batch(rng, np.full(m, prep, np.int8), idx,
+    out = _measure_batch(measure_draws(rng, m, model.alphabet.d),
+                         np.full(m, prep, np.int8), idx,
                          np.full(m, bob, np.int8), model, noise)
     return out, idx
 
@@ -85,7 +91,8 @@ class TestPrepareAndMeasure:
         m = 100_000
         prep = np.ones(m, dtype=np.int8)
         idx = np.full(m, 7)
-        out = _measure_batch(rng, prep, idx, prep, model37, NoiseModel())
+        out = _measure_batch(measure_draws(rng, m, 37), prep, idx, prep,
+                             model37, NoiseModel())
         wrong = int((out != 7).sum())
         p = 1.0 - model37.probability_table().probs["FF"][7, 7]
         assert abs(wrong - m * p) < 5 * np.sqrt(m * p * (1 - p))
@@ -95,8 +102,8 @@ class TestPrepareAndMeasure:
         m = 200_000
         prep = np.zeros(m, dtype=np.int8)
         bob = np.ones(m, dtype=np.int8)
-        out = _measure_batch(rng, prep, np.full(m, 3), bob, model37,
-                             NoiseModel())
+        out = _measure_batch(measure_draws(rng, m, 37), prep, np.full(m, 3),
+                             bob, model37, NoiseModel())
         counts = np.bincount(out + 1, minlength=38)
         row = model37.probability_table()
         expected = np.concatenate(([row.residual["IF"][3]],
@@ -114,8 +121,8 @@ class TestPrepareAndMeasure:
             prep = np.full(m, prep_code, dtype=np.int8)
             bob = np.full(m, bob_code, dtype=np.int8)
             for k in range(37):
-                out = _measure_batch(rng, prep, np.full(m, k), bob, model37,
-                                     NoiseModel())
+                out = _measure_batch(measure_draws(rng, m, 37), prep,
+                                     np.full(m, k), bob, model37, NoiseModel())
                 table[37 * row + k] = np.bincount(out + 1, minlength=38)
         result = sps.chi2_contingency(table)
         assert result[1] > 0.01
@@ -124,8 +131,8 @@ class TestPrepareAndMeasure:
         noise = NoiseModel(background_prob=0.5, loss_prob=1.0)
         rng = np.random.default_rng(9)
         prep = np.zeros(200, dtype=np.int8)
-        out = _measure_batch(rng, prep, np.zeros(200, np.int64), prep,
-                             model37, noise)
+        out = _measure_batch(measure_draws(rng, 200, 37), prep,
+                             np.zeros(200, np.int64), prep, model37, noise)
         assert np.all(out == -1)
 
     def test_present_mask_blanks_rounds(self, model37):
@@ -133,8 +140,9 @@ class TestPrepareAndMeasure:
         prep = np.ones(100, dtype=np.int8)
         present = np.zeros(100, dtype=bool)
         present[::2] = True
-        out = _measure_batch(rng, prep, np.zeros(100, np.int64), prep,
-                             model37, NoiseModel(), present=present)
+        out = _measure_batch(measure_draws(rng, 100, 37), prep,
+                             np.zeros(100, np.int64), prep, model37,
+                             NoiseModel(), present=present)
         assert np.all(out[1::2] == -1)
         assert np.all(out[::2] >= 0)
 
@@ -361,6 +369,81 @@ class TestRunSession:
         res = run_session(make_config(rounds=5_000, seed=47, keep_log=False))
         assert res.log is None
         assert res.stats.sifted > 0
+
+
+def three_chunk_config():
+    return make_config(
+        rounds=2 * BATCH_SIZE + 3, seed=5, keep_log=False,
+        adversary=AdversarySpec("suppress_on_evidence", eta=1.0))
+
+
+class TestStreaming:
+    def test_traced_layers_stay_on_the_calling_thread(self, monkeypatch):
+        """Only the draws of chunks 1 and on run on the helper thread, so a
+        tracer's one span stack sees every layer call in order."""
+        seen = {}
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((protocol, "attack_batch"),
+                            (adversary, "evidence_scores"),
+                            (HexAlphabet, "nearest_cell"),
+                            (protocol, "_measure_batch"),
+                            (protocol, "_chunk_draws")):
+            record(owner, name)
+        run_session(three_chunk_config())
+        draws = seen.pop("_chunk_draws")
+        assert seen.keys() == {"attack_batch", "evidence_scores",
+                               "nearest_cell", "_measure_batch"}
+        assert all(ids == {threading.get_ident()} for ids in seen.values())
+        assert len(draws) == 2 and threading.get_ident() in draws
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        draw, seen = protocol._chunk_draws, set()
+
+        def recording(*args):
+            seen.add(threading.get_ident())
+            return draw(*args)
+        monkeypatch.setattr(protocol, "_chunk_draws", recording)
+        run_session(make_config(rounds=BATCH_SIZE, seed=5, keep_log=False))
+        assert seen == {threading.get_ident()}
+
+    def test_no_thread_outlives_the_session(self, monkeypatch):
+        before = threading.active_count()
+        run_session(three_chunk_config())
+        assert threading.active_count() == before
+
+        draw = protocol._chunk_draws
+
+        def failing(*args):
+            if args[-1] == 1:
+                raise RuntimeError("draw of chunk 1 failed")
+            return draw(*args)
+        monkeypatch.setattr(protocol, "_chunk_draws", failing)
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            run_session(three_chunk_config())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("strategy", STRATEGIES[1:])
+    def test_streaming_matches_the_log(self, strategy):
+        """Without the log each chunk reduces to its sifted rows and counts;
+        the statistics and keys are those of the logged session."""
+        logged, streamed = (run_session(make_config(
+            rounds=2 * BATCH_SIZE + 3, seed=71, keep_log=keep_log,
+            noise=NoiseModel(background_prob=0.01, jitter_sigma=20e-6,
+                             loss_prob=0.2),
+            adversary=AdversarySpec(strategy, eta=0.7)))
+            for keep_log in (True, False))
+        assert streamed.log is None
+        assert streamed.stats.to_json() == logged.stats.to_json()
+        assert streamed.alice_key == logged.alice_key
+        assert streamed.bob_key == logged.bob_key
 
 
 class TestSessionLog:

@@ -166,3 +166,23 @@ def test_engine_matches_reference_sweep(strategy, eta, rings, noise, rounds,
         alphabet=AlphabetParams(rings=rings), noise=NoiseModel(*noise),
         adversary=AdversarySpec(strategy, eta if strategy != "none" else 0.0),
         session=SessionParams(rounds=rounds, seed=seed)))
+
+
+#: No noise, then each noise parameter alone: every suffix of unread
+#: measurement draws that a chunk leaves out.
+DRAW_SKIP_NOISE = {
+    "none": NoiseModel(),
+    "jitter": NoiseModel(jitter_sigma=30e-6),
+    "background": NoiseModel(background_prob=0.02),
+    "loss": NoiseModel(loss_prob=0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SKIP_NOISE))
+def test_skipped_draws_match_reference(name):
+    """The reference makes every draw of a chunk; the engine skips the
+    trailing ones its noise never reads, with the same outcome."""
+    _assert_matches_reference(ExperimentConfig(
+        noise=DRAW_SKIP_NOISE[name],
+        adversary=AdversarySpec("intercept_resend", eta=0.5),
+        session=SessionParams(rounds=20_000, seed=17)))
