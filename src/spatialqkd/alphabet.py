@@ -95,6 +95,17 @@ def _cube_round(x: np.ndarray, y: np.ndarray,
     return (np.where(fix_q, -rr - rt, rq), np.where(fix_r, -rq - rt, rr))
 
 
+def _lattice_sites(centers: np.ndarray,
+                   spacing: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Axial coordinates ``(q, r)`` of each center's lattice site, as floats,
+    or None when a center lies more than ``_LATTICE_RTOL`` of the spacing
+    from every site of the lattice anchored at the origin."""
+    q, r = _cube_round(centers[:, 0], centers[:, 1], spacing)
+    off = np.hypot(spacing * (q + 0.5 * r) - centers[:, 0],
+                   _HALF_SQRT3 * spacing * r - centers[:, 1])
+    return None if off.max() > _LATTICE_RTOL * spacing else (q, r)
+
+
 @dataclass(frozen=True, eq=False)
 class HexAlphabet:
     """A set of hexagonal cells with string labels.
@@ -161,12 +172,13 @@ class HexAlphabet:
         around the pattern.  None when a center is off the lattice anchored
         at the origin, or when the centers are too sparse for a dense table
         (a compact pattern fills about three quarters of it)."""
-        c, s = self.centers, self.spacing
-        q, r = _cube_round(c[:, 0], c[:, 1], s)
-        off = np.hypot(s * (q + 0.5 * r) - c[:, 0], _HALF_SQRT3 * s * r - c[:, 1])
+        sites = _lattice_sites(self.centers, self.spacing)
+        if sites is None:
+            return None
+        q, r = sites
         q0, r0 = q.min() - 1.0, r.min() - 1.0
         shape = (int(q.max() - q0) + 2, int(r.max() - r0) + 2)
-        if off.max() > _LATTICE_RTOL * s or shape[0] * shape[1] > 16 * self.d + 4096:
+        if shape[0] * shape[1] > 16 * self.d + 4096:
             return None
         table = np.full(shape, -1, dtype=np.intp)
         table[(q - q0).astype(np.intp), (r - r0).astype(np.intp)] = \
@@ -340,10 +352,13 @@ class ProbabilityMap:
     ``probs[config_label]`` has shape ``(n_sources, n_cells)``; entry
     ``[s, c]`` is the probability that a photon prepared as source character
     ``s`` lands in detection cell ``c``.  ``residual[config_label][s]`` is
-    the probability of landing outside every cell.  All are read-only, and
-    IF and FI are one broadcast of the envelope row.  The detection region
-    may cover more cells than the source alphabet.  The given arrays are
-    copied, unless ``_owned`` hands them over to be clipped in place.
+    the probability of landing outside every cell.  All are dense and
+    read-only, so ``probs[config_label][s]`` is a full row, and IF and FI
+    are one broadcast of the envelope row.  Entries the builder left out are
+    exactly 0 (``GaussianModel.probability_table`` leaves out the cells
+    beyond its cutoff).  The detection region may cover more cells than the
+    source alphabet.  The given arrays are copied, unless ``_owned`` hands
+    them over to be clipped in place.
     """
 
     cell_labels: tuple[str, ...]
@@ -373,7 +388,7 @@ class ProbabilityMap:
             if p.shape != shape:
                 raise ValueError(f"{key} must have shape {shape}, got {p.shape}")
             p = p.reshape(-1, nc)
-            if np.any(p < -1e-12):
+            if p.min() < -1e-12:  # no d x d mask
                 raise ValueError(f"negative probabilities in {key}")
             r = 1.0 - p.sum(axis=1)
             if np.any(r < -1e-12):

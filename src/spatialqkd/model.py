@@ -18,9 +18,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
+from scipy.spatial import cKDTree
 
 from ._checks import number
-from .alphabet import _SLICE, HexAlphabet, ProbabilityMap, calibrate_envelope
+from .alphabet import (_HALF_SQRT3, _SLICE, HexAlphabet, ProbabilityMap,
+                       _lattice_sites, calibrate_envelope)
 from .optics import Basis, BasisConfig, Geometry, IntensityMap, grid_coords
 
 __all__ = [
@@ -34,6 +36,20 @@ _GL_NODES = 32
 #: once rather than on every integral.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _GL_T, _GL_WT = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+#: Most Gaussian mass a matched row leaves out: the cells beyond
+#: ``_cutoff`` of the Gaussian's center, which are left at exactly zero.
+_TAIL = 1e-25
+
+
+def _cutoff(waist: float, circumradius: float) -> float:
+    """Center distance within which a cell's mass is integrated.
+
+    Every point of a cell whose center lies farther away is at least
+    ``sigma * sqrt(2 ln(1 / _TAIL))`` from the Gaussian's center, with
+    ``sigma = waist / 2``, and the bivariate normal's mass beyond that
+    radius is ``_TAIL``.
+    """
+    return circumradius + 0.5 * waist * np.sqrt(-2.0 * np.log(_TAIL))
 
 
 def hex_vertices(centers: np.ndarray, circumradius: float) -> np.ndarray:
@@ -156,31 +172,77 @@ class GaussianModel:
             yield (s, pos, *self.alphabet.nearest_cell(pos))
 
     def _envelope_masses(self) -> np.ndarray:
-        """Mass of the crossed-configuration envelope in each region cell."""
+        """Mass of the crossed-configuration envelope in each region cell.
+
+        One quadrature of every region cell: the envelope is as wide as the
+        pattern, so no cell is skipped.
+        """
         polys = hex_vertices(self.region.centers, self.region.cell_radius)
         return gaussian_polygon_integral((0.0, 0.0), self.envelope_waist, polys)
+
+    def _neighbour_masses(self, centers: np.ndarray):
+        """``(rows, cols, masses)``: the aperture Gaussian centered on
+        ``centers[row]`` integrated over region cell ``col``, for every pair
+        of centers within ``_cutoff`` of each other, as the region's k-d
+        tree finds them.
+
+        On a lattice a pair's mass depends only on the lattice offset of the
+        cell from the Gaussian's center, so when every center and every
+        region cell is a lattice site each distinct offset is integrated
+        once, the stencil.  Otherwise each pair is integrated.  Either way
+        the cost is O(d) in the pairs, never O(d**2).
+        """
+        region, radius = self.region, self.region.cell_radius
+        pairs = cKDTree(centers).sparse_distance_matrix(
+            region._tree, _cutoff(self.aperture_waist, radius),
+            output_type="ndarray")
+        rows, cols = pairs["i"], pairs["j"]
+        src = _lattice_sites(centers, region.spacing)
+        dst = _lattice_sites(region.centers, region.spacing)
+        if src is None or dst is None:
+            polys = hex_vertices(region.centers[cols] - centers[rows], radius)
+            return rows, cols, gaussian_polygon_integral(
+                (0.0, 0.0), self.aperture_waist, polys)
+        # Key each pair by its offset (dq, dr) in a small box; the keys in
+        # use are the stencil.
+        dq = (dst[0][cols] - src[0][rows]).astype(np.intp)
+        dr = (dst[1][cols] - src[1][rows]).astype(np.intp)
+        q0, r0 = dq.min(initial=0), dr.min(initial=0)
+        span = dr.max(initial=0) - r0 + 1
+        key = (dq - q0) * span + (dr - r0)
+        used = np.bincount(key) > 0
+        q, r = np.divmod(np.flatnonzero(used), span)
+        q, r, s = q + q0, r + r0, region.spacing
+        sites = np.column_stack([s * (q + 0.5 * r), _HALF_SQRT3 * s * r])
+        masses = gaussian_polygon_integral((0.0, 0.0), self.aperture_waist,
+                                           hex_vertices(sites, radius))
+        return rows, cols, masses[np.cumsum(used)[key] - 1]
 
     def probability_table(self) -> ProbabilityMap:
         """Cell probabilities for all configurations and source characters.
 
-        Computed once per model by hexagon quadrature and cached: the FF and
-        II blocks and the one envelope row that crossed configurations share.
+        Computed once per model and cached: the FF and II blocks and the one
+        envelope row that crossed configurations share.  FF[k, j] is the
+        aperture Gaussian centered on character k integrated over cell j,
+        and II[k, j] the same centered on -k.  Only cells within
+        ``_cutoff`` of the center are integrated, so each row leaves out at
+        most ``_TAIL`` (1e-25) of mass, and the others are exactly 0.  On a
+        lattice both blocks are filled from one stencil of about 19
+        hexagons at the default geometry, plus the envelope's one row.
         """
         if self._table is not None:
             return self._table
-        region = self.region
-        polys = hex_vertices(region.centers, region.cell_radius)
-        ff = np.empty((self.alphabet.d, region.d))
-        ii = np.empty_like(ff)
-        for k, center in enumerate(self.alphabet.centers):
-            ff[k] = gaussian_polygon_integral(center, self.aperture_waist, polys)
-            ii[k] = gaussian_polygon_integral(-center, self.aperture_waist, polys)
+        d, region, c = self.alphabet.d, self.region, self.alphabet.centers
+        envelope = self._envelope_masses()
+        rows, cols, masses = self._neighbour_masses(np.vstack([c, -c]))
+        blocks = np.zeros((2 * d, region.d))
+        blocks[rows, cols] = masses
+        del rows, cols, masses  # the pair arrays go before the map checks
         self._table = ProbabilityMap(cell_labels=region.labels,
                                      cell_centers=region.centers,
                                      source_labels=self.alphabet.labels,
-                                     matched={"FF": ff, "II": ii},
-                                     envelope=self._envelope_masses(),
-                                     _owned=True)
+                                     matched={"FF": blocks[:d], "II": blocks[d:]},
+                                     envelope=envelope, _owned=True)
         return self._table
 
     def source(self) -> np.ndarray:

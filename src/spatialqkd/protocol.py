@@ -428,8 +428,9 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     tape = flat_rng.random(r_sent.shape[0])
     keep_a = _flatten_mask(tape, r_sent, probs)
     keep_b = _flatten_mask(tape, r_recv, probs)
-    alice_key = [alphabet.labels[i] for i in r_sent[keep_a].tolist()]
-    bob_key = [alphabet.labels[i] for i in r_recv[keep_b].tolist()]
+    symbols = np.array(alphabet.labels, dtype=object)
+    alice_key = symbols[r_sent[keep_a]].tolist()
+    bob_key = symbols[r_recv[keep_b]].tolist()
 
     stats = SessionStats(
         rounds=n,

@@ -8,7 +8,10 @@ field references build full 2-D meshgrids, and the lens-chain reference
 computes one centered FFT per lens.  The mutual information is computed
 from the full joint distribution with both marginals, where the package has
 only its closed form.  The session reference runs each round in plain
-Python and decodes by the full distance matrix.
+Python and decodes by the full distance matrix.  The dense probability table
+does use the package's hexagon quadrature, since that is checked above, but
+integrates every (source, cell) pair, where the package skips the cells
+beyond its cutoff and integrates each lattice offset once.
 """
 
 import numpy as np
@@ -85,6 +88,26 @@ def gaussian_mass_in_hex_scanline(cell_center, gauss_center, waist: float,
             / (sigma * np.sqrt(2.0 * np.pi))
         total += float((px * py).sum()) * width
     return total
+
+
+def probability_table_dense(model):
+    """The model's probability table with every FF and II entry integrated:
+    one quadrature row per source character and block, over every region
+    cell."""
+    from spatialqkd.alphabet import ProbabilityMap
+    from spatialqkd.model import gaussian_polygon_integral, hex_vertices
+
+    region = model.region
+    polys = hex_vertices(region.centers, region.cell_radius)
+    ff = np.empty((model.alphabet.d, region.d))
+    ii = np.empty_like(ff)
+    for k, center in enumerate(model.alphabet.centers):
+        ff[k] = gaussian_polygon_integral(center, model.aperture_waist, polys)
+        ii[k] = gaussian_polygon_integral(-center, model.aperture_waist, polys)
+    return ProbabilityMap(cell_labels=region.labels, cell_centers=region.centers,
+                          source_labels=model.alphabet.labels,
+                          matched={"FF": ff, "II": ii},
+                          envelope=model._envelope_masses(), _owned=True)
 
 
 def nearest_center_bruteforce(points: np.ndarray, centers: np.ndarray,

@@ -352,14 +352,14 @@ class TestCliMaps:
                    for name in ("probability_maps.csv", "map_FF_7.csv",
                                 "map_IF_7.csv", "wide.csv")}
         assert digests == {
-            "probability_maps.csv": "7abe19c86f1610118c329a03b495efbb"
-                                    "515dc55692193ad336036ed8c47649d2",
+            "probability_maps.csv": "1bf49424efb5648833035c1d9aa8e2ab"
+                                    "0c41806d20d64133af577e3f8b663b21",
             "map_FF_7.csv": "ebb16cf84421d6f890c3080805a9b9ff"
                             "7baded80244ff0bce7b382f6bb040607",
             "map_IF_7.csv": "b862856de8a9938a7514624f5d4f8e40"
                             "b119c3c34a61fb756d5e4a02db46cc23",
-            "wide.csv": "0212083e0cceeb68fb6d98d488f6d773"
-                        "2f2418348dbf6939f6656f61fd36f735",
+            "wide.csv": "d9e5e6ca6f224268f7e02091e0094c7d"
+                        "c505cc25d106702208fc1a5ae508f7ee",
         }
 
     def test_unknown_char(self, tmp_path, small_config, capsys):

@@ -1,18 +1,63 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spatialqkd.alphabet import build_hex_alphabet, calibrate_envelope
-from spatialqkd.model import (GaussianModel, gaussian_polygon_integral,
+from spatialqkd import model as model_module
+from spatialqkd.alphabet import (build_hex_alphabet, calibrate_envelope,
+                                 prune_alphabet)
+from spatialqkd.model import (GaussianModel, _cutoff, gaussian_polygon_integral,
                               hex_vertices)
 from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
 
 from _oracles import (crossed_source_reference, envelope_probs_bruteforce,
                       gaussian_mass_in_hex, gaussian_mass_in_hex_scanline,
-                      sample_plane_reference)
+                      probability_table_dense, sample_plane_reference)
+from test_transcripts import _OFF_LATTICE
 
 _MODELS = {d: GaussianModel(build_hex_alphabet(rings, 200e-6))
            for d, rings in ((37, 3), (331, 10))}
+
+
+#: Fresh models for the stencil table checks, by case.
+_TABLE_CASES = {
+    "d7": lambda: GaussianModel(build_hex_alphabet(1, 200e-6)),
+    "d37": lambda: GaussianModel(build_hex_alphabet(3, 200e-6)),
+    "d331": lambda: GaussianModel(build_hex_alphabet(10, 200e-6)),
+    "wide": lambda: GaussianModel(build_hex_alphabet(1, 200e-6),
+                                  region=build_hex_alphabet(3, 200e-6)),
+    "pruned": lambda: GaussianModel(
+        prune_alphabet(build_hex_alphabet(3, 200e-6), ["1", "A", "Q"])),
+    "off_lattice": lambda: GaussianModel(_OFF_LATTICE),
+    "waist60": lambda: GaussianModel(build_hex_alphabet(3, 200e-6),
+                                     Geometry(aperture_waist=60e-6)),
+    "waist300": lambda: GaussianModel(build_hex_alphabet(3, 200e-6),
+                                      Geometry(aperture_waist=300e-6)),
+}
+
+
+def _stencil_size(reach: float, spacing: float) -> int:
+    """Lattice sites within ``reach`` of the origin."""
+    n = 2 * int(reach / spacing) + 2
+    q, r = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1))
+    return int(np.sum(np.hypot(spacing * (q + 0.5 * r),
+                               np.sqrt(3.0) / 2.0 * spacing * r) <= reach))
+
+
+def _counted_build(model: GaussianModel, monkeypatch) -> tuple[object, int]:
+    """The model's table and the number of polygons integrated for it."""
+    polygons = []
+    integral = model_module.gaussian_polygon_integral
+
+    def counting(center, waist, polys):
+        polygons.append(len(polys))
+        return integral(center, waist, polys)
+
+    monkeypatch.setattr(model_module, "gaussian_polygon_integral", counting)
+    table = model.probability_table()
+    monkeypatch.undo()
+    return table, sum(polygons)
 #: Zero of both signs, subnormal, huge and ordinary noise values.
 _NOISE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
@@ -236,3 +281,63 @@ class TestGaussianModel:
             var_y = np.sum(mass.sum(axis=0) * (c - mean[1]) ** 2)
             assert var_x == pytest.approx((waist / 2) ** 2, rel=1e-3)
             assert var_y == pytest.approx((waist / 2) ** 2, rel=1e-3)
+
+
+class TestStencilTable:
+    @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+    def test_matches_dense_oracle(self, case, monkeypatch):
+        """The cut-off table equals the dense one within rounding, holds a
+        mass for exactly the pairs within the cutoff and 0 elsewhere, and
+        integrates one polygon per pair, or per offset on a lattice."""
+        model = _TABLE_CASES[case]()
+        table, polygons = _counted_build(model, monkeypatch)
+        dense = probability_table_dense(model)
+        for key in ALL_CONFIGS:
+            got, want = table.probs[key.label], dense.probs[key.label]
+            assert np.abs(got - want).max() <= 1e-15, key
+            assert np.abs(table.residual[key.label]
+                          - dense.residual[key.label]).max() <= 1e-14, key
+
+        region, sigma = model.region, model.aperture_waist / 2.0
+        reach = _cutoff(model.aperture_waist, region.cell_radius)
+        # A dropped cell lies wholly beyond reach - a of the center, and a
+        # bivariate normal's mass beyond radius t is exp(-t**2 / 2 sigma**2).
+        assert np.exp(-0.5 * ((reach - region.cell_radius) / sigma) ** 2) \
+            <= 1e-25 * (1.0 + 1e-9)
+        c = model.alphabet.centers
+        gauss = np.vstack([c, -c])
+        rows, cols, masses = model._neighbour_masses(gauss)
+        near = np.zeros((gauss.shape[0], region.d), dtype=bool)
+        near[rows, cols] = True
+        assert near.sum() == rows.size == masses.size  # no pair twice
+        dist = np.hypot(*(gauss[:, None, :] - region.centers[None]).T).T
+        assert np.array_equal(near, dist <= reach)
+        blocks = np.vstack([table.probs["FF"], table.probs["II"]])
+        assert np.all(blocks[~near] == 0.0)
+        matched = polygons - region.d  # the envelope row is one per cell
+        if case == "off_lattice":
+            assert region._lattice is None and matched == rows.size
+        else:
+            assert matched <= _stencil_size(reach, region.spacing)
+
+    def test_default_stencil_size(self, geometry, alphabet37):
+        reach = _cutoff(geometry.aperture_waist, alphabet37.cell_radius)
+        assert _stencil_size(reach, alphabet37.spacing) == 19
+
+    def test_build_is_linear_in_d(self, monkeypatch):
+        """At d = 1261 the build integrates the stencil and the envelope
+        row, and peaks within a tenth above the bytes the table holds."""
+        model = GaussianModel(build_hex_alphabet(20, 200e-6))
+        region = model.region
+        tracemalloc.start()
+        try:
+            table, polygons = _counted_build(model, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reach = _cutoff(model.aperture_waist, region.cell_radius)
+        assert polygons <= _stencil_size(reach, region.spacing) + region.d
+        held = (table.probs["FF"].nbytes + table.probs["II"].nbytes
+                + table.probs["IF"][0].nbytes + table.residual["FF"].nbytes
+                + table.residual["II"].nbytes + table.residual["IF"][:1].nbytes)
+        assert peak <= 1.1 * held
