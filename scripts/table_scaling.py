@@ -5,16 +5,16 @@ For each alphabet size d (rings 3, 10 and 20: d = 37, 331 and 1261; with
 ``--large`` also rings 40, d = 4921) it builds a fresh default-geometry
 model and its ``probability_table()`` and prints one JSON line:
 
-- ``build_s``: the fastest of ``--repeats`` builds, each on a fresh model;
+- ``build_s``: the fastest of ``REPEATS`` builds, each on a fresh model;
 - ``polygons``: hexagons the quadrature integrated in one build;
 - ``peak_mb`` and ``held_mb``: the ``tracemalloc`` peak of one build, and
   the bytes the finished table holds.
 
 The count and the peak come from one extra build, so that neither the
 counting nor ``tracemalloc`` slows the timed ones.  Exits 1 when the d = 1261
-build takes longer than ``--max-seconds``:
+build takes longer than ``MAX_SECONDS``:
 
-    PYTHONPATH=src python scripts/table_scaling.py [--large] [--max-seconds 5]
+    PYTHONPATH=src python scripts/table_scaling.py [--large]
 """
 
 import argparse
@@ -26,8 +26,11 @@ import tracemalloc
 from spatialqkd import model
 from spatialqkd.alphabet import build_hex_alphabet
 
-#: The build whose time is gated, in rings.
+#: The build whose time is gated, in rings, and its limit in seconds.
 GATED_RINGS = 20
+MAX_SECONDS = 5.0
+#: Timed builds per size.
+REPEATS = 3
 
 
 def held_bytes(table) -> int:
@@ -37,10 +40,10 @@ def held_bytes(table) -> int:
             + table.residual["II"].nbytes + table.residual["IF"][:1].nbytes)
 
 
-def measure(rings: int, repeats: int) -> dict:
+def measure(rings: int) -> dict:
     alphabet = build_hex_alphabet(rings, 200e-6)
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         fresh = model.GaussianModel(alphabet)
         start = time.perf_counter()
         fresh.probability_table()
@@ -73,19 +76,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--large", action="store_true",
                         help="also build d = 4921 (about 0.4 GB of table)")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--max-seconds", type=float, default=5.0,
-                        help="fail when the d = 1261 build takes longer")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     status = 0
     for rings in (3, 10, GATED_RINGS) + ((40,) if args.large else ()):
-        row = measure(rings, args.repeats)
+        row = measure(rings)
         print(json.dumps(row), flush=True)
-        if rings == GATED_RINGS and row["build_s"] > args.max_seconds:
+        if rings == GATED_RINGS and row["build_s"] > MAX_SECONDS:
             print(f"d = {row['d']} build took {row['build_s']} s, more than "
-                  f"{args.max_seconds} s", file=sys.stderr)
+                  f"{MAX_SECONDS} s", file=sys.stderr)
             status = 1
     return status
 

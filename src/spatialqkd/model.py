@@ -189,8 +189,11 @@ class GaussianModel:
         On a lattice a pair's mass depends only on the lattice offset of the
         cell from the Gaussian's center, so when every center and every
         region cell is a lattice site each distinct offset is integrated
-        once, the stencil.  Otherwise each pair is integrated.  Either way
-        the cost is O(d) in the pairs, never O(d**2).
+        once, the stencil.  A center within ``_LATTICE_RTOL`` (1e-11) of the
+        spacing of a lattice site counts as that site, so its masses are
+        those at the exact lattice offsets.  Otherwise each pair is
+        integrated.  Either way the cost is O(d) in the pairs, never
+        O(d**2).
         """
         region, radius = self.region, self.region.cell_radius
         pairs = cKDTree(centers).sparse_distance_matrix(
@@ -204,7 +207,9 @@ class GaussianModel:
             return rows, cols, gaussian_polygon_integral(
                 (0.0, 0.0), self.aperture_waist, polys)
         # Key each pair by its offset (dq, dr) in a small box; the keys in
-        # use are the stencil.
+        # use are the stencil.  A bincount needs no sort; at d = 1261,
+        # np.unique on complex keys or on (dq, dr) rows took 8 and 60 times
+        # as long (2-core Xeon, numpy 2.4).
         dq = (dst[0][cols] - src[0][rows]).astype(np.intp)
         dr = (dst[1][cols] - src[1][rows]).astype(np.intp)
         q0, r0 = dq.min(initial=0), dr.min(initial=0)
@@ -229,6 +234,14 @@ class GaussianModel:
         most ``_TAIL`` (1e-25) of mass, and the others are exactly 0.  On a
         lattice both blocks are filled from one stencil of about 19
         hexagons at the default geometry, plus the envelope's one row.
+
+        Centers within ``_LATTICE_RTOL`` (1e-11) of the spacing of a lattice
+        site are snapped to it.  Moving a Gaussian by ``e`` changes its mass
+        in a hexagon by at most ``e`` times the perimeter times the peak
+        density, so a snapped entry differs from the quadrature at the
+        given centers by at most ``(e_k + e_j) * 6 a / (2 pi sigma**2)``,
+        with ``e_k`` and ``e_j`` the two centers' distances to their sites
+        and ``a`` the cell circumradius.
         """
         if self._table is not None:
             return self._table

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spatialqkd import model as model_module
-from spatialqkd.alphabet import (build_hex_alphabet, calibrate_envelope,
-                                 prune_alphabet)
+from spatialqkd.alphabet import (HexAlphabet, build_hex_alphabet,
+                                 calibrate_envelope, prune_alphabet)
 from spatialqkd.model import (GaussianModel, _cutoff, gaussian_polygon_integral,
                               hex_vertices)
 from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
@@ -319,6 +319,29 @@ class TestStencilTable:
             assert region._lattice is None and matched == rows.size
         else:
             assert matched <= _stencil_size(reach, region.spacing)
+
+    @pytest.mark.parametrize("waist", [100e-6, 300e-6])
+    def test_near_lattice_centers_snap(self, waist, monkeypatch):
+        """A d = 37 alphabet moved 1e-12 spacings off the lattice is within
+        ``_LATTICE_RTOL`` of it, so the stencil integrates the exact lattice
+        offsets.  A uniform move leaves the FF offsets and moves the II ones
+        by twice the move, and each entry stays within that times the
+        hexagon's perimeter times the Gaussian's peak density of the dense
+        quadrature at the moved centers."""
+        base = build_hex_alphabet(3, 200e-6)
+        move = 1e-12 * base.spacing
+        shifted = HexAlphabet(cell_radius=base.cell_radius,
+                              centers=base.centers + move * np.array([0.6, 0.8]),
+                              labels=base.labels)
+        model = GaussianModel(shifted, Geometry(aperture_waist=waist))
+        table, polygons = _counted_build(model, monkeypatch)
+        reach = _cutoff(waist, base.cell_radius)
+        assert polygons - base.d <= _stencil_size(reach, base.spacing)
+        dense = probability_table_dense(model)
+        sigma, a = waist / 2.0, base.cell_radius
+        bound = 2.0 * move * 6.0 * a / (2.0 * np.pi * sigma ** 2)
+        assert np.abs(table.probs["FF"] - dense.probs["FF"]).max() <= 1e-15
+        assert np.abs(table.probs["II"] - dense.probs["II"]).max() <= bound
 
     def test_default_stencil_size(self, geometry, alphabet37):
         reach = _cutoff(geometry.aperture_waist, alphabet37.cell_radius)
