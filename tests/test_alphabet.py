@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,19 @@ class TestBinning:
             want = bin_probabilities_reference(imap, alph, sub)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
+
+    def test_partition_is_read_only_and_off_heap(self, model37):
+        """The cached partition outlives its build scratch, so it lives in
+        memory maps of its own and pins no hole in the malloc heap."""
+        alph = build_hex_alphabet(3, 200e-6)
+        bin_probabilities(model37.intensity_grid(BasisConfig.from_label("FF"), 4),
+                          alph)
+        for part in alph._partition[1:]:
+            assert not part.flags.writeable
+            owner = part
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            assert isinstance(owner.obj, mmap.mmap)  # via a memoryview
 
     def test_subsamples_validation(self, model37, alphabet37):
         imap = model37.intensity_grid(BasisConfig.from_label("FF"), 0)
