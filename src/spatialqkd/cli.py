@@ -108,6 +108,8 @@ def cmd_maps(args: argparse.Namespace) -> int:
     bad = set(formats) - {"csv", "pgm"}
     if bad:
         raise ConfigError(f"unknown map formats: {', '.join(sorted(bad))}")
+    if not formats:
+        raise ConfigError("no map format given; choose among csv,pgm")
     configs = [BasisConfig.from_label(c.strip())
                for c in args.configs.split(",") if c.strip()]
 

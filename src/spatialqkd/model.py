@@ -4,11 +4,12 @@ In a matched configuration the detection plane shows the displaced aperture
 mode: a Gaussian of the aperture waist centered on the sent character's cell
 (point-inverted when both parties use the imaging basis).  In a crossed
 configuration the plane shows a single broad envelope carrying no character
-information; its waist is calibrated so that a fixed fraction (99 percent by
-default) of the intensity falls inside the circle circumscribing the cell
-pattern.  Cell probabilities are Gaussian measures of hexagons, evaluated
-with an exact edge decomposition; positions are drawn from the same
-densities, which keeps Monte Carlo runs and the quadrature independent.
+information; its waist is calibrated so that 99 percent of the intensity
+falls inside the circle circumscribing the cell pattern, unless the
+experiment sets ``envelope_waist``.  Cell probabilities are Gaussian
+measures of hexagons, evaluated with an exact edge decomposition; positions
+are drawn from the same densities, which keeps Monte Carlo runs and the
+quadrature independent.
 """
 
 from __future__ import annotations
@@ -101,33 +102,23 @@ class GaussianModel:
     Parameters
     ----------
     alphabet : HexAlphabet
-        Source characters; also the detection region unless ``region`` says
-        otherwise.
+        Source characters, and the detection cells unless
+        ``probability_table`` is given another region.
     geometry : Geometry
         Apparatus description; supplies the aperture waist.
     envelope_waist : float, optional
         Waist of the crossed-configuration envelope.  Defaults to the
         calibrated value for the alphabet.
-    region : HexAlphabet, optional
-        Detection cells to bin over when they differ from the source
-        alphabet (for example a wider region used to audit leakage).
     """
 
     alphabet: HexAlphabet
     geometry: Geometry = field(default_factory=Geometry)
     envelope_waist: float | None = None
-    region: HexAlphabet | None = None
 
     def __post_init__(self) -> None:
         if self.envelope_waist is None:
             self.envelope_waist = calibrate_envelope(self.alphabet)
         number("envelope_waist", self.envelope_waist, "(0, inf)")
-        if self.region is None:
-            self.region = self.alphabet
-        if abs(self.region.cell_radius - self.alphabet.cell_radius) \
-                > 1e-12 * self.alphabet.cell_radius:
-            raise ValueError("detection region must use the alphabet cell size")
-        self._table: ProbabilityMap | None = None
 
     @property
     def aperture_waist(self) -> float:
@@ -171,16 +162,16 @@ class GaussianModel:
                 pos += jscale.take(meas_code[s])[:, None] * jitter[s]
             yield (s, pos, *self.alphabet.nearest_cell(pos))
 
-    def _envelope_masses(self) -> np.ndarray:
+    def _envelope_masses(self, region: HexAlphabet) -> np.ndarray:
         """Mass of the crossed-configuration envelope in each region cell.
 
         One quadrature of every region cell: the envelope is as wide as the
         pattern, so no cell is skipped.
         """
-        polys = hex_vertices(self.region.centers, self.region.cell_radius)
+        polys = hex_vertices(region.centers, region.cell_radius)
         return gaussian_polygon_integral((0.0, 0.0), self.envelope_waist, polys)
 
-    def _neighbour_masses(self, centers: np.ndarray):
+    def _neighbour_masses(self, centers: np.ndarray, region: HexAlphabet):
         """``(rows, cols, masses)``: the aperture Gaussian centered on
         ``centers[row]`` integrated over region cell ``col``, for every pair
         of centers within ``_cutoff`` of each other, as the region's k-d
@@ -195,7 +186,7 @@ class GaussianModel:
         integrated.  Either way the cost is O(d) in the pairs, never
         O(d**2).
         """
-        region, radius = self.region, self.region.cell_radius
+        radius = region.cell_radius
         pairs = cKDTree(centers).sparse_distance_matrix(
             region._tree, _cutoff(self.aperture_waist, radius),
             output_type="ndarray")
@@ -223,10 +214,13 @@ class GaussianModel:
                                            hex_vertices(sites, radius))
         return rows, cols, masses[np.cumsum(used)[key] - 1]
 
-    def probability_table(self) -> ProbabilityMap:
+    def probability_table(self,
+                          region: HexAlphabet | None = None) -> ProbabilityMap:
         """Cell probabilities for all configurations and source characters.
 
-        Computed once per model and cached: the FF and II blocks and the one
+        ``region`` holds the detection cells, the alphabet by default; a
+        wider region audits leakage.  It must use the alphabet's cell size.
+        Built afresh on each call: the FF and II blocks and the one
         envelope row that crossed configurations share.  FF[k, j] is the
         aperture Gaussian centered on character k integrated over cell j,
         and II[k, j] the same centered on -k.  Only cells within
@@ -243,20 +237,21 @@ class GaussianModel:
         with ``e_k`` and ``e_j`` the two centers' distances to their sites
         and ``a`` the cell circumradius.
         """
-        if self._table is not None:
-            return self._table
-        d, region, c = self.alphabet.d, self.region, self.alphabet.centers
-        envelope = self._envelope_masses()
-        rows, cols, masses = self._neighbour_masses(np.vstack([c, -c]))
+        d, c = self.alphabet.d, self.alphabet.centers
+        region = self.alphabet if region is None else region
+        if abs(region.cell_radius - self.alphabet.cell_radius) \
+                > 1e-12 * self.alphabet.cell_radius:
+            raise ValueError("detection region must use the alphabet cell size")
+        envelope = self._envelope_masses(region)
+        rows, cols, masses = self._neighbour_masses(np.vstack([c, -c]), region)
         blocks = np.zeros((2 * d, region.d))
         blocks[rows, cols] = masses
         del rows, cols, masses  # the pair arrays go before the map checks
-        self._table = ProbabilityMap(cell_labels=region.labels,
-                                     cell_centers=region.centers,
-                                     source_labels=self.alphabet.labels,
-                                     matched={"FF": blocks[:d], "II": blocks[d:]},
-                                     envelope=envelope, _owned=True)
-        return self._table
+        return ProbabilityMap(cell_labels=region.labels,
+                              cell_centers=region.centers,
+                              source_labels=self.alphabet.labels,
+                              matched={"FF": blocks[:d], "II": blocks[d:]},
+                              envelope=envelope, _owned=True)
 
     def source(self) -> np.ndarray:
         """Character probabilities induced by the crossed-basis envelope.
@@ -264,13 +259,9 @@ class GaussianModel:
         The envelope's mass in each cell, clipped at zero and renormalized
         over the cells: the distribution crossed-basis detections follow,
         whichever character was sent.  Costs one quadrature row; the table
-        is neither built nor cached.
+        is not built.
         """
-        if self.region.labels != self.alphabet.labels:
-            raise ValueError(
-                "source distribution requires the detection region to be "
-                "the source alphabet")
-        env = np.clip(self._envelope_masses(), 0.0, None)
+        env = np.clip(self._envelope_masses(self.alphabet), 0.0, None)
         # Crossed detections average the IF and FI rows over the d sent
         # characters.  Every such row is this one and 0.5 * (m + m) == m, so
         # that is one mean over d broadcast copies.  The mean is not bit-equal

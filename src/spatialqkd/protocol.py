@@ -202,6 +202,8 @@ class ErrorEstimate:
 
     def rate(self, config, label: str) -> float:
         key = config.label if isinstance(config, BasisConfig) else str(config)
+        if label not in self.labels:
+            raise KeyError(f"unknown character {label!r}")
         return float(self.per_char[key][self.labels.index(label)])
 
     def as_dict(self) -> dict:

@@ -90,14 +90,14 @@ def gaussian_mass_in_hex_scanline(cell_center, gauss_center, waist: float,
     return total
 
 
-def probability_table_dense(model):
+def probability_table_dense(model, region=None):
     """The model's probability table with every FF and II entry integrated:
-    one quadrature row per source character and block, over every region
-    cell."""
+    one quadrature row per source character and block, over every cell of
+    ``region`` (the alphabet by default)."""
     from spatialqkd.alphabet import ProbabilityMap
     from spatialqkd.model import gaussian_polygon_integral, hex_vertices
 
-    region = model.region
+    region = model.alphabet if region is None else region
     polys = hex_vertices(region.centers, region.cell_radius)
     ff = np.empty((model.alphabet.d, region.d))
     ii = np.empty_like(ff)
@@ -107,7 +107,8 @@ def probability_table_dense(model):
     return ProbabilityMap(cell_labels=region.labels, cell_centers=region.centers,
                           source_labels=model.alphabet.labels,
                           matched={"FF": ff, "II": ii},
-                          envelope=model._envelope_masses(), _owned=True)
+                          envelope=model._envelope_masses(region),
+                          _owned=True)
 
 
 def nearest_center_bruteforce(points: np.ndarray, centers: np.ndarray,

@@ -22,9 +22,7 @@ def alphabet37():
 
 @pytest.fixture(scope="session")
 def model37(alphabet37, geometry):
-    model = GaussianModel(alphabet=alphabet37, geometry=geometry)
-    model.probability_table()
-    return model
+    return GaussianModel(alphabet=alphabet37, geometry=geometry)
 
 
 @pytest.fixture(scope="session")

@@ -154,14 +154,9 @@ class TestCalibration:
 
     def test_solves_containment(self, alphabet37):
         radius = alphabet37.envelope_radius
-        for containment in (0.9, 0.99, 0.999):
-            w = calibrate_envelope(alphabet37, containment)
-            assert 1 - np.exp(-2 * radius ** 2 / w ** 2) == pytest.approx(
-                containment, rel=1e-12)
-
-    def test_rejects_bad_containment(self, alphabet37):
-        with pytest.raises(ValueError):
-            calibrate_envelope(alphabet37, 1.0)
+        w = calibrate_envelope(alphabet37)
+        assert 1 - np.exp(-2 * radius ** 2 / w ** 2) == pytest.approx(
+            0.99, rel=1e-12)
 
 
 class TestDecode:
@@ -426,17 +421,15 @@ class TestBinning:
         ff = model37.intensity_grid(BasisConfig.from_label("FF"), 4)
         wide = IntensityMap(rng.random((512, 512)), 3e-3)
         small = IntensityMap(rng.random((256, 256)), 3e-3)
-        # Alternate grids and subsample counts on one alphabet instance, so
-        # that n, extent and subsamples each change alone.  A repeated key
-        # decodes nothing; a new one fills the one slot again.
-        for imap, sub, warm in ((ff, 8, False), (ff, 8, True),
-                                (wide, 8, False), (small, 8, False),
-                                (small, 3, False), (small, 3, True),
-                                (ff, 3, False), (ff, 8, False)):
+        # Alternate grids on one alphabet instance, so that n and extent
+        # each change alone.  A repeated key decodes nothing; a new one
+        # fills the one slot again.
+        for imap, warm in ((ff, False), (ff, True), (wide, False),
+                           (small, False), (small, True), (ff, False)):
             decoded.clear()
-            got = bin_probabilities(imap, alph, sub)
+            got = bin_probabilities(imap, alph)
             assert (sum(decoded) == 0) == warm
-            want = bin_probabilities_reference(imap, alph, sub)
+            want = bin_probabilities_reference(imap, alph)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
 
@@ -453,12 +446,6 @@ class TestBinning:
                 owner = owner.base
             assert isinstance(owner.obj, mmap.mmap)  # via a memoryview
 
-    def test_subsamples_validation(self, model37, alphabet37):
-        imap = model37.intensity_grid(BasisConfig.from_label("FF"), 0)
-        for bad in (0, -2, True, 2.5, "8", None):
-            with pytest.raises(ValueError, match="subsamples"):
-                bin_probabilities(imap, alphabet37, bad)
-
 
 class TestLeakage:
     def test_default_alphabet_clean(self, model37):
@@ -468,10 +455,10 @@ class TestLeakage:
         inner = build_hex_alphabet(1, 200e-6)
         wide_waist = calibrate_envelope(alphabet37)
         model = GaussianModel(alphabet=inner, geometry=geometry,
-                              envelope_waist=wide_waist, region=alphabet37)
+                              envelope_waist=wide_waist)
         # Adjacent cells see a few 1e-4 of leaked matched mass, so test with
         # a threshold above that.
-        flagged = leakage_check(model.probability_table(), eps=1e-3)
+        flagged = leakage_check(model.probability_table(alphabet37), eps=1e-3)
         labels = {cell.label for cell in flagged}
         outer = set(alphabet37.labels[7:])
         assert labels == outer

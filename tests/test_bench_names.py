@@ -12,7 +12,7 @@ from spatialqkd import protocol
 from spatialqkd.adversary import AdversarySpec
 from spatialqkd.alphabet import build_hex_alphabet
 from spatialqkd.config import ExperimentConfig, SessionParams
-from spatialqkd.model import GaussianModel
+from spatialqkd.optics import BasisConfig
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -27,14 +27,19 @@ def test_traced_layers_resolve():
 
 
 def test_workload_names_resolve():
+    """Each name with the call shape the workloads use."""
     alphabet = build_hex_alphabet(1, 200e-6)
     polys = workloads.model.hex_vertices(alphabet.centers, alphabet.cell_radius)
     mass = workloads.model.gaussian_polygon_integral((0.0, 0.0), 1e-3, polys)
     assert mass.shape == (alphabet.d,)
-    table = GaussianModel(alphabet).probability_table()
+    gauss = ExperimentConfig().build_model(alphabet)
+    table = gauss.probability_table()
     for label in ("FF", "II"):
         row = table.probs[label][0]
         assert row.shape == (alphabet.d,) and np.all(np.isfinite(row))
+    imap = gauss.intensity_grid(BasisConfig.from_label("FF"), 0)
+    binned, residual = workloads.alphabet_mod.bin_probabilities(imap, alphabet)
+    assert binned.shape == (alphabet.d,) and 0.0 <= residual < 1.0
 
 
 def test_tracer_sees_every_session_layer():

@@ -345,9 +345,9 @@ class TestCliMaps:
         code = main(["maps", "--out", str(out), "--char", "7",
                      "--configs", "FF,IF", "--formats", "csv"])
         assert code == 0
-        wide = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6),
-                             region=build_hex_alphabet(3, 200e-6))
-        wide.probability_table().to_csv(out / "wide.csv")
+        wide = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6))
+        wide.probability_table(build_hex_alphabet(3, 200e-6)).to_csv(
+            out / "wide.csv")
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("probability_maps.csv", "map_FF_7.csv",
                                 "map_IF_7.csv", "wide.csv")}
@@ -372,6 +372,13 @@ class TestCliMaps:
         assert_refused_before_output(
             ["maps", "--config", small_config, "--formats", "bmp"],
             tmp_path / "m")
+
+    @pytest.mark.parametrize("formats", ["", ",", " , "])
+    def test_empty_format_list(self, tmp_path, small_config, formats, capsys):
+        assert_refused_before_output(
+            ["maps", "--config", small_config, "--formats", formats],
+            tmp_path / "m")
+        assert "no map format" in capsys.readouterr().err
 
     def test_unknown_config_label(self, tmp_path, small_config):
         assert_refused_before_output(

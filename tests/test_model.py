@@ -20,13 +20,14 @@ _MODELS = {d: GaussianModel(build_hex_alphabet(rings, 200e-6))
            for d, rings in ((37, 3), (331, 10))}
 
 
+#: Detection region of the ``wide`` case, wider than its alphabet.
+_WIDE_REGION = build_hex_alphabet(3, 200e-6)
 #: Fresh models for the stencil table checks, by case.
 _TABLE_CASES = {
     "d7": lambda: GaussianModel(build_hex_alphabet(1, 200e-6)),
     "d37": lambda: GaussianModel(build_hex_alphabet(3, 200e-6)),
     "d331": lambda: GaussianModel(build_hex_alphabet(10, 200e-6)),
-    "wide": lambda: GaussianModel(build_hex_alphabet(1, 200e-6),
-                                  region=build_hex_alphabet(3, 200e-6)),
+    "wide": lambda: GaussianModel(build_hex_alphabet(1, 200e-6)),
     "pruned": lambda: GaussianModel(
         prune_alphabet(build_hex_alphabet(3, 200e-6), ["1", "A", "Q"])),
     "off_lattice": lambda: GaussianModel(_OFF_LATTICE),
@@ -45,8 +46,10 @@ def _stencil_size(reach: float, spacing: float) -> int:
                                np.sqrt(3.0) / 2.0 * spacing * r) <= reach))
 
 
-def _counted_build(model: GaussianModel, monkeypatch) -> tuple[object, int]:
-    """The model's table and the number of polygons integrated for it."""
+def _counted_build(model: GaussianModel, monkeypatch,
+                   region=None) -> tuple[object, int]:
+    """The model's table over ``region`` and the number of polygons
+    integrated for it."""
     polygons = []
     integral = model_module.gaussian_polygon_integral
 
@@ -55,7 +58,7 @@ def _counted_build(model: GaussianModel, monkeypatch) -> tuple[object, int]:
         return integral(center, waist, polys)
 
     monkeypatch.setattr(model_module, "gaussian_polygon_integral", counting)
-    table = model.probability_table()
+    table = model.probability_table(region)
     monkeypatch.undo()
     return table, sum(polygons)
 #: Zero of both signs, subnormal, huge and ordinary noise values.
@@ -229,30 +232,36 @@ class TestGaussianModel:
         assert np.all(diag > 0.99)
         assert diag.min() == pytest.approx(0.9984573, abs=1e-5)
 
-    def test_table_is_cached(self, model37):
-        assert model37.probability_table() is model37.probability_table()
-
     @pytest.mark.parametrize("rings", [3, 10])
-    def test_source_needs_no_table(self, rings, geometry):
+    def test_source_needs_no_table(self, rings, geometry, monkeypatch):
         model = GaussianModel(alphabet=build_hex_alphabet(rings, 200e-6),
                               geometry=geometry)
+
+        def no_table(*args):
+            raise AssertionError("source() integrated the matched blocks")
+
+        monkeypatch.setattr(GaussianModel, "_neighbour_masses", no_table)
         src = model.source()
-        assert model._table is None
+        monkeypatch.undo()
         assert np.array_equal(src, crossed_source_reference(
             model.probability_table()))
 
-    def test_source_requires_full_region(self, alphabet37, geometry):
-        inner = build_hex_alphabet(1, 200e-6)
-        model = GaussianModel(alphabet=inner, geometry=geometry,
-                              region=alphabet37)
-        with pytest.raises(ValueError):
-            model.source()
+    def test_source_unchanged_by_wide_table(self, alphabet37, geometry):
+        """A table over a wider region leaves the model's own cells as the
+        source: ``source()`` equals that of a model that built no table."""
+        model = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6),
+                              geometry=geometry)
+        table = model.probability_table(alphabet37)
+        assert table.cell_labels == alphabet37.labels
+        fresh = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6),
+                              geometry=geometry)
+        assert np.array_equal(model.source(), fresh.source())
 
     def test_region_cell_size_must_match(self, alphabet37, geometry):
-        other = build_hex_alphabet(1, 150e-6)
-        with pytest.raises(ValueError):
-            GaussianModel(alphabet=other, geometry=geometry,
-                          region=alphabet37)
+        model = GaussianModel(alphabet=build_hex_alphabet(1, 150e-6),
+                              geometry=geometry)
+        with pytest.raises(ValueError, match="cell size"):
+            model.probability_table(alphabet37)
 
     def test_intensity_grid_normalization(self, model37):
         for label in ("FF", "IF"):
@@ -290,15 +299,16 @@ class TestStencilTable:
         mass for exactly the pairs within the cutoff and 0 elsewhere, and
         integrates one polygon per pair, or per offset on a lattice."""
         model = _TABLE_CASES[case]()
-        table, polygons = _counted_build(model, monkeypatch)
-        dense = probability_table_dense(model)
+        region = _WIDE_REGION if case == "wide" else model.alphabet
+        table, polygons = _counted_build(model, monkeypatch, region)
+        dense = probability_table_dense(model, region)
         for key in ALL_CONFIGS:
             got, want = table.probs[key.label], dense.probs[key.label]
             assert np.abs(got - want).max() <= 1e-15, key
             assert np.abs(table.residual[key.label]
                           - dense.residual[key.label]).max() <= 1e-14, key
 
-        region, sigma = model.region, model.aperture_waist / 2.0
+        sigma = model.aperture_waist / 2.0
         reach = _cutoff(model.aperture_waist, region.cell_radius)
         # A dropped cell lies wholly beyond reach - a of the center, and a
         # bivariate normal's mass beyond radius t is exp(-t**2 / 2 sigma**2).
@@ -306,7 +316,7 @@ class TestStencilTable:
             <= 1e-25 * (1.0 + 1e-9)
         c = model.alphabet.centers
         gauss = np.vstack([c, -c])
-        rows, cols, masses = model._neighbour_masses(gauss)
+        rows, cols, masses = model._neighbour_masses(gauss, region)
         near = np.zeros((gauss.shape[0], region.d), dtype=bool)
         near[rows, cols] = True
         assert near.sum() == rows.size == masses.size  # no pair twice
@@ -351,7 +361,7 @@ class TestStencilTable:
         """At d = 1261 the build integrates the stencil and the envelope
         row, and peaks within a tenth above the bytes the table holds."""
         model = GaussianModel(build_hex_alphabet(20, 200e-6))
-        region = model.region
+        region = model.alphabet
         tracemalloc.start()
         try:
             table, polygons = _counted_build(model, monkeypatch)

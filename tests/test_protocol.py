@@ -189,6 +189,11 @@ class TestEstimate:
         assert est.rate("FF", "0") == pytest.approx(0.1)
         assert np.isnan(est.rate("II", "0"))
 
+    def test_rate_of_unknown_character(self):
+        est, _ = self.estimate(200, 10, 1.0)
+        with pytest.raises(KeyError, match="unknown character 'Z'"):
+            est.rate("FF", "Z")
+
     def test_partial_sample_disjoint(self):
         est, keep = self.estimate(400, 4, 0.5, seed=12)
         assert est.sample_size == 200
