@@ -65,21 +65,16 @@ def _spiral_labels(count: int) -> tuple[str, ...]:
                  for i in range(count))
 
 
-def _ring_offsets(ring: int, spacing: float) -> list[np.ndarray]:
-    """Lattice sites of one hexagonal ring, walked counterclockwise."""
+def _ring_offsets(ring: int, spacing: float) -> np.ndarray:
+    """Lattice sites of one hexagonal ring, walked counterclockwise from
+    ``ring * u``: one cumulative sum adds the walk's steps in its order."""
     if ring == 0:
-        return [np.zeros(2)]
+        return np.zeros((1, 2))
     u = np.array([spacing, 0.0])
     v = np.array([0.5 * spacing, 0.5 * np.sqrt(3.0) * spacing])
-    dirs = [u, v, v - u, -u, -v, u - v]
-    pos = ring * u
-    sites = []
-    for side in range(6):
-        step = dirs[(side + 2) % 6]
-        for _ in range(ring):
-            sites.append(pos.copy())
-            pos = pos + step
-    return sites
+    sides = np.array([v - u, -u, -v, u - v, u, v])
+    walk = np.concatenate([[ring * u], np.repeat(sides, ring, axis=0)[:-1]])
+    return np.cumsum(walk, axis=0)
 
 
 def _cube_round(x: np.ndarray, y: np.ndarray,
@@ -299,12 +294,10 @@ def build_hex_alphabet(rings: int = 3, cell_radius: float = 200e-6) -> HexAlphab
     """
     count("rings", rings, 0)
     spacing = cell_radius * np.sqrt(3.0)
-    sites: list[np.ndarray] = []
-    for ring in range(rings + 1):
-        sites.extend(_ring_offsets(ring, spacing))
-    centers = np.array(sites)
+    centers = np.concatenate([_ring_offsets(ring, spacing)
+                              for ring in range(rings + 1)])
     return HexAlphabet(cell_radius=cell_radius, centers=centers,
-                       labels=_spiral_labels(len(sites)), rings=rings)
+                       labels=_spiral_labels(len(centers)), rings=rings)
 
 
 def build_packed_alphabet(envelope_radius: float,
@@ -320,17 +313,16 @@ def build_packed_alphabet(envelope_radius: float,
     number("cell_radius", cell_radius, "(0, inf)")
     spacing = cell_radius * np.sqrt(3.0)
     max_ring = int(np.ceil(envelope_radius / spacing)) + 1
-    kept: list[np.ndarray] = []
+    kept = []
     for ring in range(max_ring + 1):
-        for site in _ring_offsets(ring, spacing):
-            reach = np.hypot(*site) + cell_radius
-            if reach <= envelope_radius * (1.0 + 1e-9):
-                kept.append(site)
-    if not kept:
-        kept = [np.zeros(2)]
-    centers = np.array(kept)
+        sites = _ring_offsets(ring, spacing)
+        reach = np.hypot(*sites.T) + cell_radius
+        kept.append(sites[reach <= envelope_radius * (1.0 + 1e-9)])
+    centers = np.concatenate(kept)
+    if not len(centers):
+        centers = np.zeros((1, 2))
     return HexAlphabet(cell_radius=cell_radius, centers=centers,
-                       labels=_spiral_labels(len(kept)), rings=None)
+                       labels=_spiral_labels(len(centers)), rings=None)
 
 
 def calibrate_envelope(alphabet: HexAlphabet) -> float:

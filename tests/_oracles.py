@@ -11,7 +11,9 @@ only its closed form.  The session reference runs each round in plain
 Python and decodes by the full distance matrix.  The dense probability table
 does use the package's hexagon quadrature, since that is checked above, but
 integrates every (source, cell) pair, where the package skips the cells
-beyond its cutoff and integrates each lattice offset once.
+beyond its cutoff and integrates each lattice offset once.  The lattice
+centres are walked site by site, where the package takes one cumulative sum
+per ring.
 """
 
 import numpy as np
@@ -109,6 +111,35 @@ def probability_table_dense(model, region=None):
                           matched={"FF": ff, "II": ii},
                           envelope=model._envelope_masses(region),
                           _owned=True)
+
+
+def ring_sites_reference(ring: int, spacing: float) -> np.ndarray:
+    """One hexagonal ring's sites, walked counterclockwise from ``ring * u``
+    one step at a time."""
+    if ring == 0:
+        return np.zeros((1, 2))
+    u = np.array([spacing, 0.0])
+    v = np.array([0.5 * spacing, 0.5 * SQRT3 * spacing])
+    dirs = [u, v, v - u, -u, -v, u - v]
+    pos = ring * u
+    sites = []
+    for side in range(6):
+        step = dirs[(side + 2) % 6]
+        for _ in range(ring):
+            sites.append(pos.copy())
+            pos = pos + step
+    return np.array(sites)
+
+
+def packed_centers_reference(envelope_radius: float,
+                             cell_radius: float) -> np.ndarray:
+    """The packed alphabet's centres, site by site: every lattice site in
+    spiral order whose cell fits the circle, or the centre alone."""
+    spacing = cell_radius * SQRT3
+    kept = [site for ring in range(int(np.ceil(envelope_radius / spacing)) + 2)
+            for site in ring_sites_reference(ring, spacing)
+            if np.hypot(*site) + cell_radius <= envelope_radius * (1.0 + 1e-9)]
+    return np.array(kept) if kept else np.zeros((1, 2))
 
 
 def nearest_center_bruteforce(points: np.ndarray, centers: np.ndarray,
@@ -276,19 +307,22 @@ def session_reference(config):
     """A session run round by round in plain Python, from the docstrings.
 
     Each batch makes the generator calls the ``protocol`` docstring lists,
-    in order and at full batch size.  Each round then takes the position
-    ``sign * (c + sigma * noise)`` of :func:`sample_plane_reference` (plus
-    ``sign`` times the jitter), the nearest centre by brute force and the
-    hexagon test, the attacker's scalar evidence scores, and background
-    before loss.  Sifting, the error-estimation sample and the flattening
-    follow.  Returns the eight round columns (as the log's dtypes), the
-    ``stats.json`` text and the two keys.
+    in order and at full batch size.  The characters come from numpy's own
+    ``rng.choice(d, size=m, p=P)``, on purpose, so the engine's guide-table
+    draw is checked against the values that call returns.  Each round then
+    takes the position ``sign * (c + sigma * noise)`` of
+    :func:`sample_plane_reference` (plus ``sign`` times the jitter), the
+    nearest centre by brute force and the hexagon test, the attacker's
+    scalar evidence scores, and background before loss.  Sifting, the
+    error-estimation sample and the flattening follow.  Returns the eight
+    round columns (as the log's dtypes), the ``stats.json`` text and the two
+    keys.
     """
     import json
     import math
 
     from spatialqkd.protocol import (_ESTIMATE_STREAM, _FLATTEN_STREAM,
-                                     BATCH_SIZE, MIN_SAMPLES_PER_CHAR)
+                                     MIN_SAMPLES_PER_CHAR, STREAM_CHUNK)
 
     alphabet = config.build_alphabet()
     model = config.build_model(alphabet)
@@ -317,8 +351,8 @@ def session_reference(config):
     cols = {name: [] for name in ("alice_basis", "bob_basis", "sent",
                                   "received", "attacked", "eve_basis",
                                   "eve_measured", "eve_dropped")}
-    for batch, start in enumerate(range(0, n, BATCH_SIZE)):
-        m = min(BATCH_SIZE, n - start)
+    for batch, start in enumerate(range(0, n, STREAM_CHUNK)):
+        m = min(STREAM_CHUNK, n - start)
         rng = np.random.default_rng([seed, batch])
         a_basis = rng.integers(0, 2, m).tolist()
         a_idx = rng.choice(d, size=m, p=probs).tolist()

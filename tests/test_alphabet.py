@@ -15,7 +15,8 @@ from spatialqkd.model import GaussianModel, hex_vertices
 from spatialqkd.optics import (ALL_CONFIGS, BASIS_BY_CODE, BasisConfig,
                                Geometry, IntensityMap, hexagon_mask)
 
-from _oracles import bin_probabilities_reference, nearest_center_bruteforce
+from _oracles import (bin_probabilities_reference, nearest_center_bruteforce,
+                      packed_centers_reference, ring_sites_reference)
 
 _BASE37 = build_hex_alphabet(3, 200e-6)
 _SHIFTED37 = HexAlphabet.from_dict(
@@ -66,6 +67,15 @@ class TestConstruction:
         s = alphabet37.spacing
         assert np.allclose(alphabet37.centers[1], (s, 0.0))
         assert np.allclose(alphabet37.centers[4], (-s, 0.0))
+
+    @pytest.mark.parametrize("rings", [0, 1, 3, 10, 20, 40])
+    def test_centers_match_the_site_walk(self, rings):
+        """One cumulative sum per ring adds the walk's steps in its order,
+        so the centres are bit-identical to the site-by-site walk."""
+        spacing = 200e-6 * np.sqrt(3.0)
+        walk = np.concatenate([ring_sites_reference(ring, spacing)
+                               for ring in range(rings + 1)])
+        assert np.array_equal(build_hex_alphabet(rings, 200e-6).centers, walk)
 
     def test_long_labels_past_62(self):
         alph = build_packed_alphabet(1.2392304845413268e-3, 60e-6)
@@ -134,6 +144,13 @@ class TestPacked:
         order = np.lexsort(packed.centers.T)
         ref = np.lexsort(alphabet37.centers.T)
         assert np.allclose(packed.centers[order], alphabet37.centers[ref])
+
+    @pytest.mark.parametrize("radii", [(1.2e-3, 60e-6), (1.2e-3, 10.0),
+                                       (1.2392304845413268e-3, 60e-6),
+                                       (3e-3, 17e-6), (4.1e-4, 1e-4)])
+    def test_centers_match_the_site_walk(self, radii):
+        assert np.array_equal(build_packed_alphabet(*radii).centers,
+                              packed_centers_reference(*radii))
 
     def test_degenerate_fallback(self):
         packed = build_packed_alphabet(1.2e-3, 10.0)

@@ -46,7 +46,7 @@ def test_tracer_sees_every_session_layer():
     """A session sliced into compute blocks still reports each layer: every
     round is decoded twice under attack (the attacker's readout, then the
     receiver's), and each decode is counted once."""
-    rounds = 2 * protocol.BATCH_SIZE + 1
+    rounds = 2 * protocol.STREAM_CHUNK + 1
     cfg = ExperimentConfig(
         adversary=AdversarySpec("suppress_on_evidence", eta=1.0),
         session=SessionParams(rounds=rounds, seed=3, keep_log=False))

@@ -1,17 +1,22 @@
 import csv
+import functools
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from spatialqkd import adversary, protocol
 from spatialqkd.adversary import STRATEGIES, AdversarySpec
-from spatialqkd.alphabet import HexAlphabet
+from spatialqkd.alphabet import HexAlphabet, build_hex_alphabet
+from spatialqkd.cli import main
 from spatialqkd.config import ConfigError, ExperimentConfig, SessionParams
+from spatialqkd.model import GaussianModel
 from spatialqkd.optics import BASIS_BY_CODE, Basis
-from spatialqkd.protocol import (BATCH_SIZE, NoiseModel, run_session,
+from spatialqkd.protocol import (STREAM_CHUNK, NoiseModel, run_session,
                                  _estimate_from_arrays, _flatten_mask,
                                  _measure_batch)
 
@@ -298,11 +303,11 @@ class TestRunSession:
         assert c.stats.to_json() != a.stats.to_json()
 
     def test_round_stream_is_prefix_stable(self):
-        short = run_session(make_config(rounds=BATCH_SIZE, seed=7))
-        long = run_session(make_config(rounds=BATCH_SIZE + 512, seed=7))
+        short = run_session(make_config(rounds=STREAM_CHUNK, seed=7))
+        long = run_session(make_config(rounds=STREAM_CHUNK + 512, seed=7))
         for field in ("alice_basis", "bob_basis", "sent", "received"):
             assert np.array_equal(getattr(short.log, field),
-                                  getattr(long.log, field)[:BATCH_SIZE])
+                                  getattr(long.log, field)[:STREAM_CHUNK])
 
     def test_uniform_source_keeps_everything(self):
         res = run_session(make_config(rounds=30_000, seed=19,
@@ -370,15 +375,124 @@ class TestRunSession:
         assert res.alice_key == []
         assert len(res.log) == 0
 
+    @pytest.mark.parametrize("bad", [(-0.25, 1.25), (np.nan, 1.0),
+                                     (0.5, 0.6)])
+    def test_bad_source_is_refused_before_any_draw(self, monkeypatch,
+                                                   tmp_path, bad):
+        """The character draw trusts P, so a negative, NaN or
+        non-normalised source is refused before any draw or output."""
+        probs = np.zeros(37)
+        probs[:2] = bad
+        monkeypatch.setattr(GaussianModel, "source", lambda self: probs)
+        with pytest.raises(ValueError, match="probabilities"):
+            run_session(make_config(rounds=1000, seed=1))
+        out = tmp_path / "out"
+        assert main(["simulate", "--rounds", "1000", "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
     def test_no_log_mode(self):
         res = run_session(make_config(rounds=5_000, seed=47, keep_log=False))
         assert res.log is None
         assert res.stats.sifted > 0
 
 
+@functools.cache
+def model_source(d: int) -> np.ndarray:
+    """The model's source on a d-cell alphabet: complete rings, or the
+    centre and one neighbour for d = 2."""
+    rings = {1: 0, 7: 1, 37: 3, 331: 10, 1261: 20}
+    alphabet = (HexAlphabet(200e-6, build_hex_alphabet(1).centers[:2],
+                            ("0", "1"))
+                if d == 2 else build_hex_alphabet(rings[d], 200e-6))
+    return ExperimentConfig().build_model(alphabet).source()
+
+
+def source_vector(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "uniform":
+        return np.full(d, 1.0 / d)
+    if kind == "model":
+        return model_source(d)
+    p = rng.random(d) if kind != "spike" else np.zeros(d)
+    if kind == "zeros":
+        p[rng.random(d) < 0.5] = 0.0
+    elif kind == "tiny":
+        tiny = rng.random(d) < 0.5
+        p[tiny] = 1e-300 * rng.random(np.count_nonzero(tiny))
+    p[rng.integers(d)] += 1.0
+    return p / p.sum()
+
+
+class TestCharSampler:
+    @settings(max_examples=150)
+    @given(d=st.sampled_from((1, 2, 7, 37, 331, 1261)),
+           kind=st.sampled_from(("uniform", "model", "zeros", "tiny",
+                                 "spike")),
+           m=st.sampled_from((0, 1, 8191, 8192, 8193, 65536)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice(self, d, kind, m, seed):
+        p = source_vector(kind, d, np.random.default_rng(seed))
+        got = protocol._CharSampler(p)(np.random.default_rng(seed), m)
+        want = np.random.default_rng(seed).choice(d, size=m, p=p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_ties_go_right(self):
+        """A uniform equal to a CDF value or a bucket edge, which a random
+        draw almost never hits, takes the next character, as
+        ``searchsorted(side="right")`` does."""
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, m, out=None):
+                out = np.empty(m) if out is None else out
+                out[...] = self.u
+                return out
+
+        for p in (np.full(4, 0.25), np.array([0.5, 0.0, 0.0, 0.25, 0.25]),
+                  model_source(37)):
+            sampler = protocol._CharSampler(p)
+            cdf = sampler.cdf
+            edges = np.arange(sampler.buckets) / sampler.buckets
+            u = np.concatenate([cdf, np.nextafter(cdf, 0.0), edges,
+                                np.nextafter(edges[1:], 0.0)])
+            u = u[u < 1.0]
+            assert np.array_equal(sampler(Fixed(u), u.size),
+                                  cdf.searchsorted(u, side="right"))
+
+    def test_model_sources_take_the_guide_table(self):
+        for d in (37, 331, 1261):
+            sampler = protocol._CharSampler(model_source(d))
+            assert sampler.lo is not None
+            assert sampler.steps <= protocol._GUIDE_STEPS
+
+    def test_crowded_bucket_falls_back_to_the_search(self):
+        """Where one bucket spans about 80 CDF entries, the passes would
+        cost more than ``choice``'s binary search, so the sampler searches
+        instead and is no slower than ``choice``."""
+        d = 331
+        p = np.full(d, 1e-3 / (d - 1))
+        p[0] = 1.0 - 1e-3
+        sampler = protocol._CharSampler(p)
+        assert sampler.steps > 50 and sampler.lo is None
+        assert np.array_equal(
+            sampler(np.random.default_rng(3), STREAM_CHUNK),
+            np.random.default_rng(3).choice(d, size=STREAM_CHUNK, p=p))
+
+        def best(draw):
+            times = []
+            for _ in range(7):
+                rng = np.random.default_rng(0)
+                start = time.perf_counter()
+                draw(rng)
+                times.append(time.perf_counter() - start)
+            return min(times)
+        assert best(lambda rng: sampler(rng, STREAM_CHUNK)) <= 1.5 * best(
+            lambda rng: rng.choice(d, size=STREAM_CHUNK, p=p))
+
+
 def three_chunk_config():
     return make_config(
-        rounds=2 * BATCH_SIZE + 3, seed=5, keep_log=False,
+        rounds=2 * STREAM_CHUNK + 3, seed=5, keep_log=False,
         adversary=AdversarySpec("suppress_on_evidence", eta=1.0))
 
 
@@ -416,7 +530,7 @@ class TestStreaming:
             seen.add(threading.get_ident())
             return draw(*args)
         monkeypatch.setattr(protocol, "_chunk_draws", recording)
-        run_session(make_config(rounds=BATCH_SIZE, seed=5, keep_log=False))
+        run_session(make_config(rounds=STREAM_CHUNK, seed=5, keep_log=False))
         assert seen == {threading.get_ident()}
 
     def test_no_thread_outlives_the_session(self, monkeypatch):
@@ -440,7 +554,7 @@ class TestStreaming:
         """Without the log each chunk reduces to its sifted rows and counts;
         the statistics and keys are those of the logged session."""
         logged, streamed = (run_session(make_config(
-            rounds=2 * BATCH_SIZE + 3, seed=71, keep_log=keep_log,
+            rounds=2 * STREAM_CHUNK + 3, seed=71, keep_log=keep_log,
             noise=NoiseModel(background_prob=0.01, jitter_sigma=20e-6,
                              loss_prob=0.2),
             adversary=AdversarySpec(strategy, eta=0.7)))
