@@ -178,9 +178,17 @@ class ApertureSpec:
             raise GeometryError(
                 f"aperture shape must be one of {self._SHAPES}, got {self.shape!r}")
         number("size", self.size, "(0, inf)", GeometryError)
+        try:
+            x, y = self.center
+        except (TypeError, ValueError):
+            raise GeometryError(f"aperture center must be a pair (x, y), got "
+                                f"{self.center!r}") from None
+        object.__setattr__(self, "center", (
+            number("center x", x, "(-inf, inf)", GeometryError),
+            number("center y", y, "(-inf, inf)", GeometryError)))
 
     def displaced(self, center) -> "ApertureSpec":
-        return replace(self, center=(float(center[0]), float(center[1])))
+        return replace(self, center=center)
 
 
 def grid_coords(n: int, extent: float) -> np.ndarray:
@@ -205,6 +213,7 @@ class OpticalField:
         if a.shape[0] % 2:
             raise GeometryError("field grid must have an even number of samples")
         number("extent", self.extent, "(0, inf)", GeometryError)
+        number("wavelength", self.wavelength, "(0, inf)", GeometryError)
         if not np.all(np.isfinite(a.view(np.float64))):
             raise GeometryError("field samples contain non-finite values")
 
@@ -231,18 +240,28 @@ class OpticalField:
         return np.abs(self.samples) ** 2
 
     def normalized(self) -> "OpticalField":
-        return _unit_field(self.samples, self.extent, self.wavelength)
+        return _unit_field(self.samples.copy(), self.extent, self.wavelength)
 
 
 def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
                 empty: str = "cannot normalize a zero-power field",
                 ) -> OpticalField:
-    """One field of ``amp`` at unit power; raises ``empty`` if it has none."""
-    amp = np.asarray(amp, dtype=np.complex128)
+    """One field of ``amp`` at unit power; raises ``empty`` if it has none.
+
+    ``amp``, float64 or complex128, is handed over and scaled in place.  A
+    real ``amp`` is multiplied by ``1 / sqrt(power)`` before its one complex
+    cast: numpy divides a complex by a real through the reciprocal, so the
+    bits are those of dividing the cast."""
     power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
     if power <= 0:
         raise GeometryError(empty)
-    return OpticalField(amp / np.sqrt(power), extent, wavelength)
+    norm = np.sqrt(power)
+    if np.iscomplexobj(amp):
+        amp /= norm
+    else:
+        amp *= 1.0 / norm
+        amp = amp.astype(np.complex128)
+    return OpticalField(amp, extent, wavelength)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,9 +362,20 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
 
 
 def _lens_step(field: OpticalField, focal: float) -> OpticalField:
-    """One confocal lens: optical Fourier transform onto a rescaled grid."""
-    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field.samples)))
-    out = ft * (field.step ** 2 / (field.wavelength * focal))
+    """One confocal lens: optical Fourier transform onto a rescaled grid.
+
+    Reads ``field`` and owns two planes: the ``ifftshift`` copy, transformed
+    in place, and the output.  ``fftshift`` swaps each axis's halves, so each
+    output quadrant is the opposite one of the transform times the scale."""
+    ft = np.fft.ifftshift(field.samples)
+    np.fft.fft2(ft, out=ft)
+    scale = field.step ** 2 / (field.wavelength * focal)
+    out = np.empty_like(ft)
+    h = field.n // 2
+    np.multiply(ft[h:, h:], scale, out=out[:h, :h])
+    np.multiply(ft[h:, :h], scale, out=out[:h, h:])
+    np.multiply(ft[:h, h:], scale, out=out[h:, :h])
+    np.multiply(ft[:h, :h], scale, out=out[h:, h:])
     new_extent = field.wavelength * focal * field.n / (4.0 * field.extent)
     return OpticalField(out, new_extent, field.wavelength)
 
@@ -399,7 +429,9 @@ def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
     if k // 2 % 2:
         out = _inverted(out)
     for j in range(k % 2 + 2, k + 1, 2):
-        out = out * (focal_lengths[j - 2] / focal_lengths[j - 1])
+        ratio = focal_lengths[j - 2] / focal_lengths[j - 1]
+        # In place, except on the caller's own samples.
+        out = np.multiply(out, ratio, out=None if out is field.samples else out)
     return OpticalField(out, extent, field.wavelength)
 
 
@@ -469,4 +501,5 @@ def detection_probability_map(field: OpticalField) -> IntensityMap:
     p = float(np.sum(intensity) * field.step ** 2)
     if p <= 0:
         raise GeometryError("cannot form a probability map from a zero field")
-    return IntensityMap(intensity / p, field.extent)
+    intensity /= p
+    return IntensityMap(intensity, field.extent)

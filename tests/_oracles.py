@@ -5,15 +5,17 @@ code paths: hexagon membership is a direct half-plane test and integrals are
 midpoint Riemann sums on a dense subgrid.  The binning reference decodes
 with ``nearest_cell`` but recomputes the whole grid on every call, the
 field references build full 2-D meshgrids, and the lens-chain reference
-computes one centered FFT per lens.  The mutual information is computed
-from the full joint distribution with both marginals, where the package has
-only its closed form.  The session reference runs each round in plain
-Python and decodes by the full distance matrix.  The dense probability table
-does use the package's hexagon quadrature, since that is checked above, but
-integrates every (source, cell) pair, where the package skips the cells
-beyond its cutoff and integrates each lattice offset once.  The lattice
-centres are walked site by site, where the package takes one cumulative sum
-per ring.
+computes one centered FFT per lens.  The unit-field, chain and map
+references repeat the optics layer's arithmetic with plain allocating
+expressions, where the package scales and transforms planes in place.  The
+mutual information is computed from the full joint distribution with both
+marginals, where the package has only its closed form.  The session
+reference runs each round in plain Python and decodes by the full distance
+matrix.  The dense probability table does use the package's hexagon
+quadrature, since that is checked above, but integrates every (source, cell)
+pair, where the package skips the cells beyond its cutoff and integrates
+each lattice offset once.  The lattice centres are walked site by site,
+where the package takes one cumulative sum per ring.
 """
 
 import numpy as np
@@ -237,6 +239,46 @@ def lens_by_lens(field, focal_lengths):
                            out.wavelength * f * out.n / (4.0 * out.extent),
                            out.wavelength)
     return out
+
+
+def unit_field_reference(amp, extent, wavelength,
+                         empty="cannot normalize a zero-power field"):
+    """``amp`` at unit power: a complex copy, ``|amp|**2`` summed, and one
+    division into a new array.  A stand-in for ``optics._unit_field``."""
+    from spatialqkd.optics import GeometryError, OpticalField
+
+    amp = np.asarray(amp, dtype=np.complex128)
+    power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
+    if power <= 0:
+        raise GeometryError(empty)
+    return OpticalField(amp / np.sqrt(power), extent, wavelength)
+
+
+def chain_reference(field, focal_lengths):
+    """``propagate_chain``'s one-transform output, each plane a new array:
+    ``lens_by_lens`` over the first lens, then the point inversion and the
+    ratios ``f_j / f_(j+1)``.  No containment checks."""
+    from spatialqkd.optics import OpticalField
+
+    k = len(focal_lengths)
+    if not k:
+        return field
+    first = lens_by_lens(field, focal_lengths[:1])
+    extent = field.extent
+    for f in focal_lengths:
+        extent = field.wavelength * f * field.n / (4.0 * extent)
+    out = (first if k % 2 else field).samples
+    if k // 2 % 2:
+        out = np.roll(np.flip(out, axis=(0, 1)), 1, axis=(0, 1))
+    for j in range(k % 2 + 2, k + 1, 2):
+        out = out * (focal_lengths[j - 2] / focal_lengths[j - 1])
+    return OpticalField(out, extent, field.wavelength)
+
+
+def probability_map_values_reference(field) -> np.ndarray:
+    """``|samples|**2`` divided by its integral, each step a new array."""
+    intensity = np.abs(field.samples) ** 2
+    return intensity / float(np.sum(intensity) * field.step ** 2)
 
 
 def csv_text_reference(header, blocks) -> str:

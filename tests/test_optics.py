@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from spatialqkd.optics import (ALL_CONFIGS, ApertureSpec, Basis, BasisConfig,
                                make_aperture_field, point_inverted,
                                propagate_chain)
 
-from _oracles import (airy_amplitude_2d, crossed_gaussian_2d,
-                      gaussian_aperture_2d, lens_by_lens)
+from _oracles import (airy_amplitude_2d, chain_reference, crossed_gaussian_2d,
+                      gaussian_aperture_2d, lens_by_lens,
+                      probability_map_values_reference, unit_field_reference)
 
 
 @pytest.fixture()
@@ -111,6 +113,36 @@ class TestApertures:
             ApertureSpec("triangle", 1e-4)
         with pytest.raises(GeometryError, match="boolean"):
             ApertureSpec("gaussian", True)
+
+    @pytest.mark.parametrize("center, match", [
+        ((np.nan, 0.0), "center x"), ((0.0, np.inf), "center y"),
+        ((-np.inf, 0.0), "center x"), ((True, False), "boolean"),
+        ((np.bool_(False), 0.0), "boolean"), ((1e-4,), "pair"),
+        ((1e-4, 0.0, 0.0), "pair"), (0.0, "pair"), (None, "pair"),
+        ("ab", "center x"), (("1e-4", 0.0), "center x")],
+        ids=["nan", "inf", "-inf", "bools", "np-bool", "one", "three",
+             "scalar", "none", "str", "str-number"])
+    def test_bad_center_refused(self, center, match):
+        with pytest.raises(GeometryError, match=match):
+            ApertureSpec("gaussian", 1e-4, center)
+
+    def test_center_stored_as_floats(self):
+        for center in ((np.float64(1e-4), np.float32(-2.5e-4)),
+                       np.array([1e-4, -2.5e-4]), [1e-4, -2.5e-4], (0, -1)):
+            spec = ApertureSpec("gaussian", 1e-4, center)
+            assert type(spec.center) is tuple
+            assert all(type(v) is float for v in spec.center)
+            assert spec.center == tuple(float(v) for v in center)
+        moved = ApertureSpec().displaced(np.array([3e-4, -1e-4]))
+        assert moved.center == (3e-4, -1e-4)
+        assert all(type(v) is float for v in moved.center)
+
+
+class TestOpticalField:
+    @pytest.mark.parametrize("wavelength", [np.nan, np.inf, 0.0, -5e-7, True])
+    def test_wavelength_checked(self, wavelength):
+        with pytest.raises(GeometryError, match="wavelength"):
+            OpticalField(np.ones((4, 4)), 1e-3, wavelength)
 
 
 class TestTransforms:
@@ -337,6 +369,174 @@ class TestAnalyticEquivalence:
         m_fi = np.abs(analytic_amplitude(BasisConfig.from_label("FI"),
                                          spec, geom).samples)
         assert np.max(np.abs(m_if - m_fi)) < 1e-12
+
+
+APERTURES = (("gaussian", 100e-6), ("circular", 150e-6),
+             ("hexagonal", 200e-6))
+APERTURE_IDS = [shape for shape, _ in APERTURES]
+
+#: ``UNEQUAL_FOCALS`` chains of 0 to 6 lenses and the four full chains.
+CHAINS = ([UNEQUAL_FOCALS[:k] for k in range(7)]
+          + [full_chain(c, Geometry()) for c in ALL_CONFIGS])
+CHAIN_IDS = [f"unequal{k}" for k in range(7)] + [c.label for c in ALL_CONFIGS]
+
+
+def _spec(shape, size):
+    return ApertureSpec(shape, size, (346.4e-6, -600e-6))
+
+
+def _same_bits(out, ref):
+    """Equal extents and wavelengths, and samples equal bit for bit (signed
+    zeros included)."""
+    assert (out.extent, out.wavelength) == (ref.extent, ref.wavelength)
+    assert out.samples.dtype == ref.samples.dtype == np.complex128
+    assert np.array_equal(out.samples, ref.samples)
+    assert out.samples.tobytes() == ref.samples.tobytes()
+
+
+def _plain_optics():
+    """The unit field and the lens step patched to their plain allocating
+    forms: a call made inside this context is the reference."""
+    return mock.patch.multiple(
+        optics, _unit_field=unit_field_reference,
+        _lens_step=lambda field, focal: lens_by_lens(field, (focal,)))
+
+
+class TestInPlaceBitIdentity:
+    """The optics layer scales, transforms and normalises its planes in
+    place; every output equals the plain allocating expressions bit for
+    bit."""
+
+    @pytest.mark.parametrize("shape, size", APERTURES, ids=APERTURE_IDS)
+    def test_aperture_field(self, geom, shape, size):
+        out = make_aperture_field(_spec(shape, size), geom)
+        with _plain_optics():
+            ref = make_aperture_field(_spec(shape, size), geom)
+        _same_bits(out, ref)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+    @pytest.mark.parametrize("shape, size", APERTURES, ids=APERTURE_IDS)
+    def test_analytic_amplitude(self, geom, shape, size, config):
+        out = analytic_amplitude(config, _spec(shape, size), geom)
+        with _plain_optics():
+            ref = analytic_amplitude(config, _spec(shape, size), geom)
+        _same_bits(out, ref)
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+    @pytest.mark.parametrize("shape, size", APERTURES, ids=APERTURE_IDS)
+    def test_propagate_chain(self, geom, shape, size, chain):
+        # Sharp-edged apertures spread past the border after a transform, so
+        # the check is opened for them: this test is about the planes.
+        field = make_aperture_field(_spec(shape, size), geom)
+        with mock.patch.object(optics, "_BORDER_POWER_TOL", 1.0):
+            out = propagate_chain(field, chain)
+        _same_bits(out, chain_reference(field, chain))
+
+    def test_normalized_and_map(self, geom):
+        field = OpticalField(3.0 * asymmetric_field(geom).samples, 1e-3, 5e-7)
+        _same_bits(field.normalized(), unit_field_reference(
+            field.samples, field.extent, field.wavelength))
+        imap = detection_probability_map(field)
+        assert imap.values.tobytes() == probability_map_values_reference(
+            field).tobytes()
+
+    def test_refusal_message_unchanged(self, geom):
+        field = make_aperture_field(_spec("hexagonal", 200e-6), geom)
+        chain = full_chain(BasisConfig.from_label("IF"), geom)
+        with pytest.raises(SamplingError) as err:
+            propagate_chain(field, chain)
+        with _plain_optics(), pytest.raises(SamplingError) as ref:
+            propagate_chain(field, chain)
+        assert "after lens 1 of 5" in str(err.value)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda f: f.normalized(), GeometryError,
+         "cannot normalize a zero-power field"),
+        (detection_probability_map, GeometryError,
+         "cannot form a probability map from a zero field"),
+        (lambda f: propagate_chain(f, (0.1,)), SamplingError,
+         "zero-power field at the chain input")],
+        ids=["normalized", "map", "chain"])
+    def test_zero_power_refused(self, call, error, message):
+        zero = OpticalField(np.zeros((16, 16)), 1e-3, 5e-7)
+        with pytest.raises(error) as err:
+            call(zero)
+        assert str(err.value) == message
+
+
+class TestCallerArrays:
+    """No entry point writes into the field it is given, even where it
+    works in place on planes of its own."""
+
+    @staticmethod
+    def check(geom, call):
+        samples = asymmetric_field(geom).samples
+        before = samples.copy()
+        samples.setflags(write=False)
+        field = OpticalField(samples, geom.grid_extent, geom.wavelength)
+        call(field)
+        assert field.samples is samples
+        assert samples.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda f: f.normalized(), lambda f: f.intensity(), lambda f: f.power,
+        point_inverted, lambda f: optics._lens_step(f, 0.2),
+        lambda f: optics._check_contained(f, "here"),
+        detection_probability_map],
+        ids=["normalized", "intensity", "power", "point_inverted",
+             "lens_step", "check_contained", "map"])
+    def test_read_only_field(self, geom, call):
+        self.check(geom, call)
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=CHAIN_IDS)
+    def test_read_only_chain_input(self, geom, chain):
+        self.check(geom, lambda f: propagate_chain(f, chain))
+
+
+def _peak_planes(call, n):
+    """``tracemalloc`` peak of one call above the memory traced before it,
+    in ``n``-sample complex planes (4 MiB at 512²).  The result stays alive,
+    so it counts; the FFT library's own scratch is not traced."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / (16 * n * n)
+
+
+class TestAllocations:
+    """Peak memory per call on the default 512² grid.  The plain allocating
+    forms peaked at 2.63, 2.13, 3.0 and 1.06 planes."""
+
+    def test_aperture_field(self, geom):
+        spec = _spec("gaussian", 100e-6)
+        # the float amplitude, the complex field and the finiteness mask
+        assert _peak_planes(lambda: make_aperture_field(spec, geom),
+                            geom.grid_samples) <= 1.7
+
+    def test_crossed_closed_form(self, geom):
+        spec = _spec("gaussian", 100e-6)
+        config = BasisConfig.from_label("IF")
+        assert _peak_planes(lambda: analytic_amplitude(config, spec, geom),
+                            geom.grid_samples) <= 1.55
+
+    def test_propagate_chain(self, geom):
+        field = make_aperture_field(_spec("gaussian", 100e-6), geom)
+        chain = full_chain(BasisConfig.from_label("II"), geom)
+        # the shifted copy transformed in place, the lens output and the
+        # finiteness mask
+        assert _peak_planes(lambda: propagate_chain(field, chain),
+                            geom.grid_samples) <= 2.2
+
+    def test_detection_probability_map(self, geom):
+        field = make_aperture_field(_spec("gaussian", 100e-6), geom)
+        assert _peak_planes(lambda: detection_probability_map(field),
+                            geom.grid_samples) <= 0.6
 
 
 class TestIntensityMap:
