@@ -3,15 +3,13 @@
 :func:`write_csv` is the one place that turns columns into text.  Each table
 has one row format: ``%d``, ``%s``, ``%.<p>e`` and ``%.<p>f`` conversions
 (``p`` at most 15) between literal separators.  A block of at most
-:data:`BLOCK` rows becomes one ``uint8`` matrix, each field a NUL-padded
-run of columns, and is written with one ``write`` once the NULs are dropped;
-no Python object is made per field.
+:data:`BLOCK` rows is one zeroed ``(m, W)`` ``uint8`` matrix, ``W`` the sum of
+the literals' and fields' widths.  Each literal and field fills its own
+columns, digits four at a time from :data:`_QUADS`, and the block is written
+with one ``write`` once the NULs are dropped: no Python object per field.
 
-* ``%d`` takes integer or boolean columns, written two digits at a time
-  from a 100-entry table.
-* ``%s`` takes ``S`` columns as they are and ``str`` columns encoded once
-  per block.  Text columns index :func:`code_fields` (code -1 is the empty
-  field) or :data:`FLAG_FIELDS`.
+* ``%d`` takes integer or boolean columns, ``%s`` ``S`` or ``str`` columns
+  such as :func:`code_fields` (-1 is the empty field) or :data:`FLAG_FIELDS`.
 * ``%.<p>e`` rounds ``y = |x| * 10**k`` to the integer ``D`` of the printed
   digits, with ``k = p - E`` and the decimal exponent ``E`` from ``log10``.
   ``y`` is ``frexp(|x|)[0]`` times the correctly rounded significand of
@@ -20,19 +18,21 @@ no Python object is made per field.
   within ``2 eps y`` of a half-integer (every ``y >= 2**50`` does) or that
   is not finite might round either way.  A field at a decade edge, whose
   ``D`` is not strictly between ``10**p`` and ``10**(p+1)``, might have the
-  wrong ``E``.  Only those fields are formatted by Python's ``%``.  Every
-  other field is the exact, round-half-even text that ``%`` writes.  On the
-  two ``cli_outputs`` maps 0.06 % and 0.33 % of the fields fall back, on
-  uniform values in [0, 1) 0.5 %.
+  wrong ``E``.  Only those fields go to Python's ``%`` (0.06 % and 0.33 % of
+  the two ``cli_outputs`` maps).  Every other field is the exact,
+  round-half-even text of ``%``, and its ``D < 2**50`` makes the groups
+  ``floor(D / 10**4)`` exact in float64: the quotient is off by under
+  ``2**-3 / 10**4``, less than a non-integer quotient's distance to the next
+  integer.  The exponent text is one lookup in :data:`_EXPONENTS`.
 * ``%.<p>f`` fields, only in the few rows of ``security.csv``, all go to ``%``.
 
-A 512² map takes about 0.08 s, against 0.22 s for one ``%`` pass per block
-(traced ``cli_outputs``, 2-core Xeon), with under 1 MB of transient memory.
+A 512² map takes about 0.05 s to write (2-core Xeon), with a 0.55 MB peak.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 
@@ -43,23 +43,21 @@ BLOCK = 4096
 FLAG_FIELDS = np.array([b"0", b"1"])
 
 _CONVERSION = re.compile(r"(%(?:[ds]|\.\d+[ef]))")
-#: "00" to "99", two ASCII digits per uint16.
-_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
+#: "0000" to "9999", four ASCII digits per uint32.
+_QUADS = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)
+#: ``%e``'s exponent text of ``E`` at ``E + 324``, NUL-padded to 8 bytes.
+_EXPONENTS = np.array([b"e%+03d" % e for e in range(-324, 309)], "S8").view(np.uint64)
 _EPS = np.finfo(np.float64).eps
 
 
 def _pow10_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """``10**k = sig * 2**exp`` for ``k`` in ``[lo, hi]``, ``sig`` in
     ``[1, 2]`` correctly rounded (integer true division rounds correctly)."""
-    sig, exp = [], []
-    for k in range(lo, hi + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        e = num.bit_length() - den.bit_length()
-        if (num << max(-e, 0)) < (den << max(e, 0)):
-            e -= 1
-        sig.append((num << max(-e, 0)) / (den << max(e, 0)))
-        exp.append(e)
-    return np.array(sig), np.array(exp)
+    exp = [(10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
+           for k in range(lo, hi + 1)]
+    sig = [10 ** k / 2 ** e if k >= 0 else 2 ** -e / 10 ** -k
+           for k, e in zip(range(lo, hi + 1), exp)]
+    return np.array(sig), np.array(exp, np.int32)
 
 
 # ``%e`` needs k = p - E for decimal exponents E in [-324, 308], plus one.
@@ -78,61 +76,49 @@ def code_fields(names) -> np.ndarray:
     return np.array([*names, ""], dtype="S")
 
 
-def _digits(v: np.ndarray, width: int, keep: int = 0) -> np.ndarray:
-    """``(m, width)`` decimal digits of the integers ``0 <= v < 2**64``, two
-    at a time from a table (``//`` by a scalar beats ``divmod``).  With
-    ``keep``, NUL replaces the leading zeros short of the last ``keep``."""
-    v = v.astype(np.uint64)
-    pairs = -(-width // 2)
-    out = np.empty((v.size, pairs), np.uint16)
-    rest = v
-    for j in range(pairs - 1, -1, -1):
-        q = rest // np.uint64(100)
-        out[:, j] = _PAIRS[(rest - q * np.uint64(100)).view(np.int64)]
-        rest = q
-    out = out.view(np.uint8)[:, 2 * pairs - width:]
-    for j in range(width - keep if keep else 0):
-        out[:, j] *= v >= np.uint64(10 ** (width - 1 - j))
-    return out
+def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
+    """Write the integers ``0 <= v < 10**w`` into the ``(m, w)`` matrix
+    ``out``, four digits at a time: ``v`` is uint64, or float64 < ``2**50``."""
+    for end in range(out.shape[1], 0, -4):
+        q = 0 if end <= 4 else (v // np.uint64(10000) if v.dtype == np.uint64
+                                else np.floor(v / 1e4))
+        quad = _QUADS[(v - q * 10000).astype(np.intp)]
+        if end >= 4:
+            out[:, end - 4:end].view(np.uint32)[:, 0] = quad
+        else:
+            for c, digit in enumerate(quad.view(np.uint8).reshape(-1, 4).T[4 - end:]):
+                out[:, c] = digit
+        v = q
 
 
-def _hcat(m: int, parts) -> np.ndarray:
-    """Matrices and literal byte strings side by side, ``m`` rows."""
-    parts = [np.frombuffer(p, np.uint8)[None, :] if isinstance(p, bytes)
-             else p for p in parts]
-    out = np.empty((m, sum(p.shape[1] for p in parts)), np.uint8)
-    start = 0
-    for p in parts:
-        out[:, start:start + p.shape[1]] = p
-        start += p.shape[1]
-    return out
-
-
-def _sign(negative: np.ndarray) -> np.ndarray:
-    return np.where(negative, np.uint8(ord("-")), np.uint8(0))[:, None]
-
-
-def _integers(v: np.ndarray) -> np.ndarray:
+def _integers(v: np.ndarray):
     v = v.astype(np.int64)
-    mag = np.abs(v).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
-    return _hcat(v.size, [_sign(v < 0),
-                          _digits(mag, len(str(int(mag.max()))), keep=1)])
+    negative, mag = v < 0, np.abs(v).view(np.uint64)  # |-2**63| wraps to 2**63
+    width, sign = len(str(int(mag.max()))), int(negative.any())
+
+    def render(out: np.ndarray) -> None:
+        out[:, 0] = negative * np.uint8(ord("-"))  # a digit's column if no sign
+        _put_digits(out[:, sign:], mag)
+        keep = 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)[:, None] <= mag
+        for j in range(width - 1):  # keep[j]: digit j is no leading zero
+            out[:, sign + j] *= keep[j]
+    return sign + width, render
 
 
-def _text(col: np.ndarray) -> np.ndarray:
+def _text(col: np.ndarray):
     s = np.ascontiguousarray(col if col.dtype.kind == "S" else col.astype("S"))
-    return s.view(np.uint8).reshape(s.size, s.itemsize)
+    item = np.dtype((np.void, s.itemsize))  # one copy per field, not per byte
+    return s.itemsize, lambda out: np.copyto(out.view(item)[:, 0], s.view(item))
 
 
-def _floats(x: np.ndarray, conversion: str) -> np.ndarray:
+def _floats(x: np.ndarray, conversion: str):
     p = int(conversion[2:-1])
-    field, unsure = np.empty((x.size, 0), np.uint8), np.ones(x.size, bool)
+    width, unsure = 0, np.ones(x.size, bool)
     if conversion[-1] == "e":
         finite = np.isfinite(x)
         a = np.where(finite, np.abs(x), 0.0)
         live = a > 0
-        exp10 = np.zeros(x.size, np.int64)
-        exp10[live] = np.floor(np.log10(a[live]))
+        exp10 = np.floor(np.log10(np.where(live, a, 1.0))).astype(np.int64)
         # y = a * 10**k, its binary exponent capped so that nothing
         # overflows: any y it caps is above 2**59 and so unsure anyway.
         m, e = np.frexp(a)
@@ -145,29 +131,33 @@ def _floats(x: np.ndarray, conversion: str) -> np.ndarray:
         unsure |= live & ((d <= 10.0 ** p) | (d >= 10.0 ** (p + 1)))
         unsure |= ~finite
         d[unsure] = 0
-        mantissa = _digits(d, p + 1)
-        field = _hcat(x.size, [
-            _sign(np.signbit(x)), mantissa[:, :1], b"." if p else b"",
-            mantissa[:, 1:], b"e",
-            np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+")))[:, None],
-            _digits(np.abs(exp10), 3, keep=2)])
-    rows = np.flatnonzero(unsure)
-    if rows.size:  # the only fields that Python formats one by one
-        text = np.array([(conversion % v).encode("ascii")
-                         for v in x[rows].tolist()])
-        w = text.itemsize
-        if w > field.shape[1]:
-            field = np.pad(field, ((0, 0), (w - field.shape[1], 0)))
-        field[rows] = 0
-        field[rows, :w] = text.view(np.uint8).reshape(rows.size, w)
-    return field
+        negative = np.signbit(x)
+        sign = int(negative.any())
+        width = sign + 1 + (p > 0) + p + 5  # e+dd or e+ddd
+    rows = np.flatnonzero(unsure)  # the only fields Python formats one by one
+    text = np.array([conversion % v for v in x[rows].tolist()], "S")
+    text = text.view(np.uint8).reshape(rows.size, text.itemsize)
+
+    def render(out: np.ndarray) -> None:
+        if width:
+            out[:, 0] = negative * np.uint8(ord("-"))  # a digit's column if no sign
+            # D's digits one column right, then the first left of the "."
+            # (at p = 0 the exponent overwrites the ".").
+            _put_digits(out[:, sign + 1:sign + p + 2], d)
+            out[:, sign] = out[:, sign + 1]
+            out[:, sign + 1] = ord(".")
+            exponent = _EXPONENTS[exp10 + 324].view(np.uint32).reshape(-1, 2)
+            out[:, width - 5:width - 1].view(np.uint32)[:, 0] = exponent[:, 0]
+            out[:, width - 1] = exponent.view(np.uint8)[:, 4]
+        out[rows] = 0
+        out[rows, :text.shape[1]] = text
+    return max(width, text.shape[1]), render
 
 
-def _field(conversion: str, col, j: int) -> np.ndarray:
-    """The ``(m, w)`` NUL-padded bytes of column ``j`` under ``conversion``."""
+def _field(conversion: str, col, j: int):
+    """Column ``j``'s width under ``conversion`` and its ``render(out)``."""
     col = np.asarray(col)
-    kind = col.dtype.kind
-    if conversion == "%s" and kind in "SUO":
+    if conversion == "%s" and col.dtype.kind in "SUO":
         return _text(col)
     if conversion == "%d" and np.can_cast(col.dtype, np.int64):
         return _integers(col)
@@ -176,8 +166,20 @@ def _field(conversion: str, col, j: int) -> np.ndarray:
     raise ValueError(f"column {j} ({conversion}) cannot hold {col.dtype} values")
 
 
-def write_csv(path, header: tuple[str, ...], row_format: str,
-              blocks) -> None:
+def _block(literals, conversions, columns) -> np.ndarray:
+    """One block's matrix: its literals and fields side by side."""
+    parts = [literals[0]]
+    for j, (conversion, col) in enumerate(zip(conversions, columns)):
+        parts += [_field(conversion, col, j), literals[j + 1]]
+    out = np.zeros((len(columns[0]), sum(w for w, _ in parts)), np.uint8)
+    start = 0
+    for width, render in parts:
+        render(out[:, start:start + width])
+        start += width
+    return out
+
+
+def write_csv(path, header: tuple[str, ...], row_format: str, blocks) -> None:
     """Write the header, then each block: equal-length columns, one per
     conversion of ``row_format``, whose literal text ends the row."""
     pieces = _CONVERSION.split(row_format)
@@ -186,7 +188,8 @@ def write_csv(path, header: tuple[str, ...], row_format: str,
             int(c[2:-1]) > 15 for c in conversions if c[1] == "."):
         raise ValueError(f"row format {row_format!r}: only %d, %s, %.<p>e "
                          "and %.<p>f with p <= 15 are supported")
-    literals = [s.encode("ascii") for s in literals]
+    literals = [np.frombuffer(s.encode("ascii"), np.uint8) for s in literals]
+    literals = [(s.size, partial(np.copyto, src=s)) for s in literals]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for columns in blocks:
@@ -196,9 +199,6 @@ def write_csv(path, header: tuple[str, ...], row_format: str,
             lengths = sorted({len(col) for col in columns})
             if len(lengths) > 1:
                 raise ValueError(f"columns of one block differ in length: {lengths}")
-            if not lengths or not lengths[0]:
-                continue
-            parts = [literals[0]]
-            for j, (conversion, col) in enumerate(zip(conversions, columns)):
-                parts += [_field(conversion, col, j), literals[j + 1]]
-            fh.write(_hcat(lengths[0], parts).tobytes().translate(None, b"\0"))
+            if lengths and lengths[0]:  # the matrix is freed before the NULs go
+                fh.write(_block(literals, conversions, columns).tobytes()
+                         .translate(None, b"\0"))

@@ -155,13 +155,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if key:
                 fh.write("\n")
     log = result.log
+    stale = {"eve_records.csv", "rounds.csv"}
     if log is not None and log.attacked.any():
         rounds = np.flatnonzero(log.attacked)
         eve_log_to_csv(os.path.join(out, "eve_records.csv"), rounds,
                        log.eve_basis[rounds], log.eve_measured[rounds],
                        log.eve_dropped[rounds], log.labels)
+        stale.discard("eve_records.csv")
     if args.round_log:
         log.to_csv(os.path.join(out, "rounds.csv"))
+        stale.discard("rounds.csv")
+    # A log this run did not write would belong to an earlier run.
+    for name in stale:
+        if os.path.isfile(os.path.join(out, name)):
+            os.remove(os.path.join(out, name))
 
     avg = stats.error.average
     avg_text = f"{avg:.4f}" if stats.error.sample_size else "n/a"

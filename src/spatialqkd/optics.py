@@ -322,9 +322,11 @@ def hexagon_mask(x: np.ndarray, y: np.ndarray, center, circumradius: float,
     dy = np.asarray(y, dtype=np.float64) - center[1]
     inradius = circumradius * (np.sqrt(3.0) / 2.0) * (1.0 + rtol)
     half = np.sqrt(3.0) / 2.0
-    inside = np.abs(dx) <= inradius
-    inside &= np.abs(0.5 * dx + half * dy) <= inradius
+    # The first term has the full broadcast shape, so ``x`` and ``y`` may be
+    # a column and a row of coordinates.
+    inside = np.abs(0.5 * dx + half * dy) <= inradius
     inside &= np.abs(-0.5 * dx + half * dy) <= inradius
+    inside &= np.abs(dx) <= inradius
     return inside
 
 
@@ -349,7 +351,8 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
         amp = np.outer(np.exp(-(c - cx) ** 2 / spec.size ** 2),
                        np.exp(-(c - cy) ** 2 / spec.size ** 2))
     else:
-        x, y = np.meshgrid(c, c, indexing="ij")
+        # A column and a row of coordinates, broadcast to the plane.
+        x, y = c[:, None], c[None, :]
         if spec.shape == "circular":
             rsq = (x - cx) ** 2 + (y - cy) ** 2
             amp = (rsq <= spec.size ** 2).astype(np.float64)

@@ -244,6 +244,29 @@ class TestCliSimulate:
         assert stats["eve"]["attacked"] > 0
         assert (tmp_path / "run" / "eve_records.csv").exists()
 
+    def test_rerun_removes_the_earlier_runs_logs(self, tmp_path):
+        """Runs into one directory: each log is there exactly when the last
+        run wrote it, and other files are left alone."""
+        out = tmp_path / "run"
+        (out / "rounds.csv.d").mkdir(parents=True)
+        (out / "notes.csv").write_text("kept\n")
+        attack = ["--strategy", "intercept_resend", "--eta", "1"]
+        for argv, logs in (
+                ([*attack, "--rounds", "2000", "--round-log"],
+                 {"eve_records.csv", "rounds.csv"}),
+                (["--rounds", "1000"], set()),
+                ([*attack, "--rounds", "1500"], {"eve_records.csv"}),
+                (["--rounds", "1200", "--round-log"], {"rounds.csv"})):
+            assert main(["simulate", "--out", str(out), *argv]) == 0
+            rounds = int(argv[argv.index("--rounds") + 1])
+            assert json.loads((out / "stats.json").read_text())["rounds"] == rounds
+            assert {p.name for p in out.glob("*.csv")} == logs | {"notes.csv"}
+            if "rounds.csv" in logs:
+                rows = (out / "rounds.csv").read_text().splitlines()
+                assert len(rows) == rounds + 1
+        assert (out / "rounds.csv.d").is_dir()
+        assert (out / "notes.csv").read_text() == "kept\n"
+
     def test_log_bytes_are_pinned(self, tmp_path):
         """Byte-exact round and attacker logs at a fixed seed.  The run
         spans more than one write block and holds untouched, attacked,

@@ -4,6 +4,7 @@ import io
 import pathlib
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import spatialqkd
 from _oracles import csv_text_reference
+from spatialqkd import _csv
 from spatialqkd._csv import BLOCK, FLAG_FIELDS, code_fields, row_blocks, write_csv
 from spatialqkd.optics import IntensityMap
 
@@ -38,7 +40,7 @@ def test_readme_python_example_runs():
             exec(compile(block, str(README), "exec"), {})
 
 
-@pytest.mark.parametrize("n", (0, BLOCK + 1))
+@pytest.mark.parametrize("n", (0, 1, BLOCK, BLOCK + 1))
 def test_write_csv_matches_per_field_join(tmp_path, n):
     """One ``%`` pass per block writes what per-field strings joined per row
     wrote: round indices, code fields with the empty field at -1 and the
@@ -65,7 +67,7 @@ def test_write_csv_matches_per_field_join(tmp_path, n):
     assert next(((g, w) for g, w in zip(got, expected.splitlines())
                  if g != w), None) is None
     assert len(got) == n + 1
-    if n:
+    if n > 1:
         assert ",-0.000000000000e+00," in expected
         assert ",4.940656458412e-324," in expected
         assert ",#62," in expected and ",," in expected
@@ -134,6 +136,50 @@ def test_named_fields_match_percent(tmp_path, row_format, values):
     """Exact ties, every power of ten, the decade edges, both ends of the
     double range, ``2**53`` under ``%.6f`` and the int64 extremes."""
     got, expected = _rendered(tmp_path / "t.csv", row_format, np.asarray(values))
+    assert _first_difference(got, expected) is None
+    assert got == expected
+
+
+@pytest.mark.parametrize("p", range(16))
+def test_every_precision_matches_percent(tmp_path, p):
+    """``%.<p>e`` and ``%.<p>f`` at every supported precision: the digit
+    groups split ``D`` differently as ``(p + 1) mod 4`` changes."""
+    rng = np.random.default_rng(p)
+    values = np.concatenate([_decade_edges(), rng.standard_normal(2000)
+                             * 10.0 ** rng.integers(-30, 30, 2000)])
+    for row_format in (f"%.{p}e\n", f"%.{p}f\n"):
+        got, expected = _rendered(tmp_path / "t.csv", row_format, values)
+        assert _first_difference(got, expected) is None
+        assert got == expected
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=100, deadline=None)
+@given(st.integers(0, 15), arrays(np.float64, st.integers(1, 40),
+                                  elements=_DOUBLES))
+def test_any_precision_matches_percent(tmp_path, p, x):
+    got, expected = _rendered(tmp_path / "t.csv", f"%.{p}e,%.{p}f\n", x, x)
+    assert got == expected
+
+
+def test_pow10_significands_are_correctly_rounded():
+    """``10**k = _SIG[k] * 2**_EXP[k]`` with ``_SIG`` in ``[1, 2)`` and
+    rounded to nearest, for every ``k`` that ``%e`` looks up."""
+    for i, k in enumerate(range(-_csv._K0, _csv._SIG.size - _csv._K0)):
+        exact = Fraction(10) ** k / Fraction(2) ** int(_csv._EXP[i])
+        assert 1 <= exact < 2
+        assert _csv._SIG[i] == float(exact)
+
+
+def test_mixed_widths_in_one_block(tmp_path):
+    """``%d`` columns whose widths differ row to row (the int64 extremes
+    next to 0 and 9) beside ``%s`` and ``%e`` fields of several widths."""
+    ints = np.array([0, -2 ** 63, 9, 2 ** 63 - 1, -1, 10, 9999, -10000, 10 ** 18])
+    small = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1], bool)
+    text = np.array(["", "a", "bcd", "", "#62", "e", "fg", "", "h"])
+    values = np.array([0.0, -1e-300, 1e300, -0.0, 0.5, np.nan, 1e100, -9.5e99, 1.0])
+    got, expected = _rendered(tmp_path / "t.csv", "%d;%s,%d %.3e%d,%s\n",
+                              ints, text, small, values, ints[::-1], text[::-1])
     assert _first_difference(got, expected) is None
     assert got == expected
 

@@ -414,6 +414,19 @@ class TestInPlaceBitIdentity:
             ref = make_aperture_field(_spec(shape, size), geom)
         _same_bits(out, ref)
 
+    @pytest.mark.parametrize("shape, size", APERTURES[1:], ids=APERTURE_IDS[1:])
+    def test_sharp_masks_match_meshgrid(self, geom, shape, size):
+        """The broadcast column-and-row masks equal the full-meshgrid ones."""
+        spec = _spec(shape, size)
+        x, y = np.meshgrid(*2 * [grid_coords(geom.grid_samples, geom.grid_extent)],
+                           indexing="ij")
+        cx, cy = spec.center
+        mask = ((x - cx) ** 2 + (y - cy) ** 2 <= size ** 2 if shape == "circular"
+                else hexagon_mask(x, y, spec.center, size))
+        ref = unit_field_reference(mask.astype(np.float64), geom.grid_extent,
+                                   geom.wavelength)
+        _same_bits(make_aperture_field(spec, geom), ref)
+
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
     @pytest.mark.parametrize("shape, size", APERTURES, ids=APERTURE_IDS)
     def test_analytic_amplitude(self, geom, shape, size, config):
@@ -518,6 +531,15 @@ class TestAllocations:
         # the float amplitude, the complex field and the finiteness mask
         assert _peak_planes(lambda: make_aperture_field(spec, geom),
                             geom.grid_samples) <= 1.7
+
+    @pytest.mark.parametrize("shape, bound", [("circular", 2.2),
+                                              ("hexagonal", 1.7)])
+    def test_sharp_aperture_field(self, geom, shape, bound):
+        """The mask is built from a column and a row of coordinates, not two
+        meshgrids; the meshgrid forms peaked at 3.13 and 3.06 planes."""
+        spec = _spec(shape, 150e-6)
+        assert _peak_planes(lambda: make_aperture_field(spec, geom),
+                            geom.grid_samples) <= bound
 
     def test_crossed_closed_form(self, geom):
         spec = _spec("gaussian", 100e-6)
