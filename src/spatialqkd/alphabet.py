@@ -13,6 +13,7 @@ import mmap
 import os
 import string
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,14 +44,19 @@ _RESIDUAL = "(residual)"  # cell char of the outside-all-cells CSV row
 #: spacing are a tie, resolved to the lowest index (the tolerance of
 #: ``hexagon_mask``).
 _TIE_RTOL = 1e-12
-#: Points nearer than this fraction of the spacing to an edge of their
-#: lattice cell are left to the tree, which applies the tie rule exactly.
-_EDGE_RTOL = 1e-9
 #: Centers within this fraction of the spacing of a lattice site count as on
-#: the lattice.  Far below ``_EDGE_RTOL``, so a point clear of its cell's
-#: edges by that margin is nearest to the cell's center.
+#: the lattice.  Far below ``_RHOMBUS_MARGIN``, so a point the rhombus table
+#: clears is nearest to its cell's center.
 _LATTICE_RTOL = 1e-11
 _HALF_SQRT3 = np.sqrt(3.0) / 2.0
+#: Sub-cells per side of the rhombus table: ``2 ** _RHOMBUS_BITS``.
+_RHOMBUS_BITS = 8
+_RHOMBUS_K = 1 << _RHOMBUS_BITS
+#: Clearance, in spacings, of a coded sub-cell from its hexagon's edges.
+_RHOMBUS_MARGIN = 1e-6
+#: Largest coordinate, in meters, ``nearest_cell`` accepts: far below the
+#: 1.3e154 m at which the k-d tree's squared distances overflow.
+_MAX_COORD = 1e100
 #: Points per cache-sized ``nearest_cell`` call of grids and session slices.
 _SLICE = 1 << 13
 #: Fraction of the crossed-basis envelope inside the pattern's circle.
@@ -77,33 +83,54 @@ def _ring_offsets(ring: int, spacing: float) -> np.ndarray:
     return np.cumsum(walk, axis=0)
 
 
-def _cube_round(x: np.ndarray, y: np.ndarray,
-                spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Axial coordinates ``(q, r)`` of the nearest lattice site, as floats.
-
-    The lattice has basis ``u = (s, 0)`` and ``v = (s / 2, s * sqrt(3) / 2)``
-    with ``s`` the spacing.  Each cube coordinate ``(q, r, -q - r)`` is
-    rounded, and the one that moved most is recomputed from the other two.
-    """
-    r = y / (_HALF_SQRT3 * spacing)
-    q = x / spacing - 0.5 * r
-    t = -q - r
-    rq, rr, rt = np.rint(q), np.rint(r), np.rint(t)
-    dq, dr, dt = np.abs(rq - q), np.abs(rr - r), np.abs(rt - t)
-    fix_q = (dq > dr) & (dq > dt)
-    fix_r = ~fix_q & (dr > dt)
-    return (np.where(fix_q, -rr - rt, rq), np.where(fix_r, -rq - rt, rr))
-
-
 def _lattice_sites(centers: np.ndarray,
                    spacing: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Axial coordinates ``(q, r)`` of each center's lattice site, as floats,
     or None when a center lies more than ``_LATTICE_RTOL`` of the spacing
-    from every site of the lattice anchored at the origin."""
-    q, r = _cube_round(centers[:, 0], centers[:, 1], spacing)
+    from every site of the lattice anchored at the origin.
+
+    The lattice has basis ``u = (s, 0)`` and ``v = (s / 2, s * sqrt(3) / 2)``
+    with ``s`` the spacing.  Rounding ``q`` and ``r`` on their own finds the
+    site of a center that close to one; a center farther from every site is
+    farther from the rounded one too.
+    """
+    r = centers[:, 1] / (_HALF_SQRT3 * spacing)
+    q = np.rint(centers[:, 0] / spacing - 0.5 * r)
+    r = np.rint(r)
     off = np.hypot(spacing * (q + 0.5 * r) - centers[:, 0],
                    _HALF_SQRT3 * spacing * r - centers[:, 1])
     return None if off.max() > _LATTICE_RTOL * spacing else (q, r)
+
+
+def _rhombus_table() -> np.ndarray:
+    """Corner code of each sub-cell of the unit rhombus ``[0, 1)**2`` in
+    axial coordinates, ``K = _RHOMBUS_K`` sub-cells a side, flat and
+    read-only: entry ``i * K + j`` is sub-cell ``[i, i + 1] x [j, j + 1]``
+    over ``K``.
+
+    Every point of the rhombus is nearest one of its corners, the lattice
+    sites ``(dq, dr)`` with ``dq, dr`` in {0, 1}.  A sub-cell whose four
+    vertices lie inside the hexagon of corner ``(dq, dr)`` by
+    ``_RHOMBUS_MARGIN`` spacings lies inside it whole (both are convex) and
+    gets code ``dq + 2 * dr``.  The others, a band of 1.43 % of the
+    sub-cells along the cell edges, get 4.
+    """
+    t = np.arange(_RHOMBUS_K + 1) / _RHOMBUS_K
+    q, r = np.meshgrid(t, t, indexing="ij")
+    code = np.full((_RHOMBUS_K, _RHOMBUS_K), 4, np.int8)
+    lim = 0.5 - _RHOMBUS_MARGIN  # the inradius at unit spacing
+    for c in range(4):
+        x = q - (c & 1) + 0.5 * (r - (c >> 1))
+        y = _HALF_SQRT3 * (r - (c >> 1))
+        ok = ((np.abs(x) <= lim) & (np.abs(0.5 * x + _HALF_SQRT3 * y) <= lim)
+              & (np.abs(0.5 * x - _HALF_SQRT3 * y) <= lim))
+        code[ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]] = c
+    code = code.ravel()
+    code.flags.writeable = False
+    return code
+
+
+_RHOMBUS = _rhombus_table()
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,29 +188,40 @@ class HexAlphabet:
                                < self.spacing * (1.0 - 1e-9)):
             raise ValueError("cell centers closer than one lattice spacing")
         object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_lattice", self._lattice_table())
         # One grid partition, ``(key, pixel_ids, boundary, sub_ids)``; see
         # ``_grid_partition``.
         object.__setattr__(self, "_partition", None)
 
-    def _lattice_table(self) -> tuple[np.ndarray, float, float] | None:
-        """``(table, q0, r0)`` with ``table[q - q0, r - r0]`` the index of the
-        cell at lattice site ``(q, r)``, -1 for no cell; a border of -1 lies
-        around the pattern.  None when a center is off the lattice anchored
-        at the origin, or when the centers are too sparse for a dense table
-        (a compact pattern fills about three quarters of it)."""
+    @cached_property
+    def _lattice(self) -> tuple[np.ndarray, float, float] | None:
+        """``(corners, q0, r0)`` for the rhombus lookup of ``nearest_cell``,
+        built at the first decode, so an alphabet that decodes nothing never
+        pays for it.
+
+        ``corners[q - q0, r - r0, c]`` is the index of the cell at lattice
+        site ``(q + (c & 1), r + (c >> 1))`` for a corner code ``c`` below 4,
+        -1 for no cell, and -1 for the band code 4.  The sites it reads have
+        a border of -1 one site wide around the pattern.  None when a center
+        is off the lattice anchored at the origin, or when the centers are
+        too sparse for a dense table (a compact pattern fills about three
+        quarters of it).
+        """
         sites = _lattice_sites(self.centers, self.spacing)
         if sites is None:
             return None
         q, r = sites
         q0, r0 = q.min() - 1.0, r.min() - 1.0
-        shape = (int(q.max() - q0) + 2, int(r.max() - r0) + 2)
-        if shape[0] * shape[1] > 16 * self.d + 4096:
+        w, h = int(q.max() - q0) + 2, int(r.max() - r0) + 2
+        if w * h > 16 * self.d + 4096:
             return None
-        table = np.full(shape, -1, dtype=np.intp)
+        table = np.full((w, h), -1, dtype=np.intp)
         table[(q - q0).astype(np.intp), (r - r0).astype(np.intp)] = \
             np.arange(self.d)
-        return table, q0, r0
+        corners = np.full((w - 1, h - 1, 5), -1, dtype=np.intp)
+        for c in range(4):
+            dq, dr = c & 1, c >> 1
+            corners[:, :, c] = table[dq:w - 1 + dq, dr:h - 1 + dr]
+        return corners, q0, r0
 
     @property
     def d(self) -> int:
@@ -224,19 +262,24 @@ class HexAlphabet:
 
         Returns ``(indices, inside)``.  Distances that agree within 1e-12
         of the lattice spacing are a tie, resolved to the lowest index.
+        Raises ``ValueError`` unless every coordinate is finite and at most
+        1e100 m in magnitude.
 
-        A point inside the pattern costs O(1): it is rounded to the lattice
-        and its site looked up in a table.  The other points cost O(log d)
-        each, in a k-d tree query over the centers: points outside the
-        pattern or in a pruned hole (which still have a nearest cell),
-        points within 1e-9 spacings of a cell edge, and every point of an
-        alphabet whose centers are off the lattice.  Only these get the
-        hexagon membership test: a point the table clears is inside its
-        cell by a margin of 1e-9 spacings, far beyond rounding.
+        A point inside the pattern costs O(1): its sub-cell of the unit
+        rhombus of the lattice is looked up in one table shared by all
+        alphabets, and the cell at the sub-cell's corner in one small table
+        of the alphabet's own.  The other points cost O(log d) each, in a
+        k-d tree query over the centers: points outside the pattern or in a
+        pruned hole (which still have a nearest cell), points in the band of
+        sub-cells along the cell edges (1.43 % of the rhombus), and every
+        point of an alphabet whose centers are off the lattice.  Only these
+        get the hexagon membership test: a point the table clears is inside
+        its cell by a margin of 1e-6 spacings, far beyond rounding.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        if pts.size and not np.abs(pts).max() <= _MAX_COORD:  # NaN fails too
+            raise ValueError("points must be finite, with coordinates of at "
+                             f"most {_MAX_COORD:g} m in magnitude")
         idx, inside = (self._lattice_nearest(pts) if self._lattice is not None
                        else (np.empty(len(pts), np.intp), np.zeros(len(pts), bool)))
         rest = np.flatnonzero(~inside)
@@ -246,18 +289,41 @@ class HexAlphabet:
         return idx, inside
 
     def _lattice_nearest(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell at each point's nearest lattice site (-1 for none), and
-        whether that cell is certain: a cell exists and the point is clear
-        of its edges by ``_EDGE_RTOL`` of the spacing."""
-        table, q0, r0 = self._lattice
-        q, r = _cube_round(pts[:, 0], pts[:, 1], self.spacing)
-        qi = np.clip(q - q0, 0, table.shape[0] - 1).astype(np.intp)
-        ri = np.clip(r - r0, 0, table.shape[1] - 1).astype(np.intp)
-        idx = table.take(qi * table.shape[1] + ri)
-        clear = (idx >= 0) & hexagon_mask(
-            *pts.T, self.centers.take(idx, axis=0).T, self.cell_radius,
-            -2 * _EDGE_RTOL)
-        return idx, clear
+        """Cell of each point by the rhombus lookup, and whether it is
+        certain: -1 and False in the band, off the table and at a site with
+        no cell.
+
+        The axial coordinates ``(q, r)`` times ``K`` are floored to
+        integers, whose high bits give the rhombus origin and whose low
+        ``_RHOMBUS_BITS`` bits the sub-cell.  No fraction ``q - floor(q)``
+        is formed, so none can round up to 1.  Rounding moves a point by a
+        few ulps at most, into a neighbouring sub-cell at worst, and
+        ``_RHOMBUS_MARGIN`` covers that.  A coordinate off the table is
+        clipped to the first or last sub-cell along its axis, whose corners
+        on that axis lie in the border: -1.
+        """
+        corners, q0, r0 = self._lattice
+        w, h = corners.shape[:2]
+        k = _RHOMBUS_K
+        r = pts[:, 1] * (k / (_HALF_SQRT3 * self.spacing))
+        q = pts[:, 0] * (k / self.spacing)
+        q -= 0.5 * r
+        q -= k * q0
+        r -= k * r0
+        np.clip(q, 0.0, k * w - 1.0, out=q)
+        np.clip(r, 0.0, k * h - 1.0, out=r)
+        qi, ri = q.astype(np.intp), r.astype(np.intp)  # floors, as q, r >= 0
+        sub = qi & (k - 1)
+        sub <<= _RHOMBUS_BITS
+        sub |= ri & (k - 1)
+        qi >>= _RHOMBUS_BITS
+        ri >>= _RHOMBUS_BITS
+        qi *= 5 * h
+        ri *= 5
+        qi += ri
+        qi += _RHOMBUS.take(sub)
+        idx = corners.take(qi)
+        return idx, idx >= 0
 
     def _tree_nearest(self, pts: np.ndarray) -> np.ndarray:
         """Nearest center by k-d tree, with ties to the lowest index."""

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import count, number
-from ._csv import row_blocks, write_csv
+from ._csv import BLOCK, row_blocks, write_csv
 
 __all__ = [
     "Basis",
@@ -296,8 +296,16 @@ class IntensityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write rows ``row,col,value`` where row indexes x and col indexes y."""
         n, flat = self.n, self.values.ravel()
+        # Rows and columns of pixels 0 .. BLOCK + n - 1; a block starting at
+        # row r0, column c0 reads them from c0 on and adds r0 to the rows.
+        rows, cols = np.divmod(np.arange(BLOCK + n), n)
+
+        def fields(k: np.ndarray):
+            r0, c0 = divmod(int(k[0]), n)
+            return rows[c0:c0 + k.size] + r0, cols[c0:c0 + k.size], flat[k]
+
         write_csv(path, ("row", "col", "value"), "%d,%d,%.12e\n",
-                  ((k // n, k % n, flat[k]) for k in row_blocks(flat.size)))
+                  (fields(k) for k in row_blocks(flat.size)))
 
     def to_pgm(self, path: str | os.PathLike) -> None:
         """Write an 8-bit binary PGM image, linearly scaled to the map peak."""

@@ -240,7 +240,7 @@ def _measure_batch(draws, prep_basis: np.ndarray, prep_idx: np.ndarray,
         if beta > 0:
             np.copyto(out, bg_cell[s], where=bg_u[s] < beta)
         if noise.loss_prob > 0:
-            out[loss_u[s] < noise.loss_prob] = -1
+            np.copyto(out, -1, where=loss_u[s] < noise.loss_prob)
         decoded[s] = out
     return decoded
 
@@ -306,10 +306,12 @@ def _estimate_from_arrays(rng: np.random.Generator, config_code: np.ndarray,
     counts: dict[str, np.ndarray] = {}
     low = k == 0
     wrong_total = 0
+    wrong = sent != received
     for code, key in ((1, "FF"), (0, "II")):
         mask = sample & (config_code == code)
-        n_c = np.bincount(sent[mask], minlength=d)
-        w_c = np.bincount(sent[mask & (sent != received)], minlength=d)
+        n_c = np.bincount(sent.take(np.flatnonzero(mask)), minlength=d)
+        mask &= wrong
+        w_c = np.bincount(sent.take(np.flatnonzero(mask)), minlength=d)
         with np.errstate(invalid="ignore"):
             rates = np.where(n_c > 0, w_c / np.maximum(n_c, 1), np.nan)
         per_char[key] = rates
@@ -439,17 +441,18 @@ def _stream(config: "ExperimentConfig", model: GaussianModel,
                 log.eve_measured[c], log.eve_dropped[c] = atk.measured_idx, atk.dropped
 
             detected = received >= 0
-            sift = (a_basis == b_basis) & detected
-            at, k = counts[1], np.count_nonzero(sift)
+            sift = np.flatnonzero((a_basis == b_basis) & detected)
+            at, k = counts[1], sift.size
             for row, column in zip(rows, (a_basis, sent, received)):
-                row[at:at + k] = column[sift]
+                column.take(sift, out=row[at:at + k])
             counts[:2] += np.count_nonzero(detected), k
             hist += np.bincount(sent, minlength=d)
             if adv.active:
                 matched = atk.attacked & (atk.basis_code == a_basis)
                 counts[2:] += [np.count_nonzero(x) for x in
                                (atk.attacked, atk.dropped, matched)]
-                eve_hist += np.bincount(atk.measured_idx[matched], minlength=d)
+                eve_hist += np.bincount(
+                    atk.measured_idx.take(np.flatnonzero(matched)), minlength=d)
     return tuple(row[:counts[1]] for row in rows), counts.tolist(), hist, eve_hist
 
 
@@ -487,16 +490,16 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     estimate, keep = _estimate_from_arrays(
         est_rng, s_code, s_sent, s_recv, alphabet.labels,
         config.session.sample_fraction)
-    r_sent = s_sent[keep]
-    r_recv = s_recv[keep]
+    keep = np.flatnonzero(keep)
+    r_sent, r_recv = s_sent.take(keep), s_recv.take(keep)
 
     flat_rng = np.random.default_rng([seed, _FLATTEN_STREAM])
     tape = flat_rng.random(r_sent.shape[0])
     keep_a = _flatten_mask(tape, r_sent, probs)
     keep_b = _flatten_mask(tape, r_recv, probs)
     symbols = np.array(alphabet.labels, dtype=object)
-    alice_key = symbols[r_sent[keep_a]].tolist()
-    bob_key = symbols[r_recv[keep_b]].tolist()
+    alice_key = symbols.take(r_sent.take(np.flatnonzero(keep_a))).tolist()
+    bob_key = symbols.take(r_recv.take(np.flatnonzero(keep_b))).tolist()
 
     stats = SessionStats(
         rounds=n,

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spatialqkd._checks import distribution
-from spatialqkd.alphabet import (HexAlphabet, ProbabilityMap,
+from spatialqkd.alphabet import (_RHOMBUS, _RHOMBUS_K, _RHOMBUS_MARGIN,
+                                 HexAlphabet, ProbabilityMap,
                                  bin_probabilities, build_hex_alphabet,
                                  build_packed_alphabet, calibrate_envelope,
                                  leakage_check, load_alphabet, prune_alphabet,
                                  save_alphabet)
+from spatialqkd.config import ExperimentConfig
 from spatialqkd.model import GaussianModel, hex_vertices
 from spatialqkd.optics import (ALL_CONFIGS, BASIS_BY_CODE, BasisConfig,
                                Geometry, IntensityMap, hexagon_mask)
 
-from _oracles import (bin_probabilities_reference, nearest_center_bruteforce,
+from _oracles import (SQRT3, _decode_bruteforce, bin_probabilities_reference,
+                      hex_contains, nearest_center_bruteforce,
                       packed_centers_reference, ring_sites_reference)
 
 _BASE37 = build_hex_alphabet(3, 200e-6)
@@ -40,6 +43,31 @@ _ALPHABETS = st.one_of(
 
 #: Radius, in units of the pattern radius: inside, near the rim, far out.
 _ZONES = ((0.0, 0.9), (0.9, 1.15), (1.15, 20.0))
+
+#: Alphabets on the lattice: d = 1, rings, pruned ones (with holes) and a
+#: packed one.
+_LATTICE_ALPHABETS = st.one_of(
+    st.integers(min_value=0, max_value=4).map(
+        lambda rings: build_hex_alphabet(rings, 200e-6)),
+    st.sets(st.integers(min_value=0, max_value=36), min_size=1,
+            max_size=8).map(lambda idx: prune_alphabet(
+                _BASE37, [_BASE37.labels[i] for i in idx])),
+    st.just(build_packed_alphabet(1.2e-3, 60e-6)),
+)
+#: Axial coordinates ``(q, r)``, in spacings: anywhere over the lattice
+#: table and a little beyond, on an integer ``q`` or ``r`` line (the rhombus
+#: edges), and scaled far beyond the table (the clip).
+_AXIAL = st.floats(min_value=-8.0, max_value=8.0)
+_LINE = st.integers(min_value=-8, max_value=8).map(float)
+_AXIAL_POINTS = st.lists(st.one_of(
+    st.tuples(_AXIAL, _AXIAL),
+    st.tuples(_LINE, _AXIAL),
+    st.tuples(_AXIAL, _LINE),
+    st.tuples(_AXIAL, _AXIAL, st.floats(min_value=2.0, max_value=50.0)).map(
+        lambda t: (t[0] * t[2], t[1] * t[2])),
+), min_size=1, max_size=64)
+#: Coordinates in meters next to zero, of either sign, subnormals included.
+_TINY = st.floats(min_value=-1e-30, max_value=1e-30)
 
 
 class TestConstruction:
@@ -265,6 +293,102 @@ class TestDecode:
                                          np.array([k]), code)
             idx, inside = alph.nearest_cell(plane)
             assert alph.labels[idx[0]] == "1" and inside[0]
+
+
+class TestRhombusLookup:
+    """The lattice path of ``nearest_cell``: a sub-cell of the unit rhombus,
+    then the cell at its corner."""
+
+    def test_table_is_sound(self):
+        """Every coded sub-cell lies inside its corner's hexagon by the
+        margin: its four vertices do, at unit spacing.  Under 2 % of the
+        sub-cells are band."""
+        k = _RHOMBUS_K
+        assert _RHOMBUS.dtype == np.int8 and _RHOMBUS.shape == (k * k,)
+        assert not _RHOMBUS.flags.writeable
+        code = _RHOMBUS.reshape(k, k)
+        assert set(np.unique(code)) <= {0, 1, 2, 3, 4}
+        assert (code == 4).mean() < 0.02
+        i, j = np.nonzero(code < 4)
+        dq, dr = code[i, j] & 1, code[i, j] >> 1
+        # hex_contains widens the inradius by 1e-12; this radius undoes it.
+        radius = (1.0 - 2.0 * _RHOMBUS_MARGIN) / SQRT3 / (1.0 + 1e-12)
+        for vi, vj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            q, r = (i + vi) / k - dq, (j + vj) / k - dr
+            vertices = np.column_stack([q + 0.5 * r, SQRT3 / 2 * r])
+            assert hex_contains(vertices, (0.0, 0.0), radius).all()
+
+    @pytest.mark.parametrize("alph", [
+        build_hex_alphabet(0, 200e-6), _BASE37,
+        prune_alphabet(_BASE37, ["0", "2", "B", "S"]),
+        build_packed_alphabet(1.2e-3, 60e-6)],
+        ids=["d1", "d37", "pruned", "packed"])
+    def test_points_off_the_table_find_no_cell(self, alph):
+        """The lookup clears no point beyond the pattern's last ring, in any
+        direction and at any distance; each cell is the corner of four
+        rhombi, and the band code reads -1."""
+        rng = np.random.default_rng(5)
+        angle = rng.random(20_000) * 2 * np.pi
+        radius = alph.envelope_radius + alph.spacing * np.exp(
+            rng.random(20_000) * np.log(1e6))
+        pts = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        idx, clear = alph._lattice_nearest(pts)
+        assert not clear.any() and (idx == -1).all()
+        corners = alph._lattice[0]
+        assert (corners[..., 4] == -1).all()
+        assert np.array_equal(np.sort(corners[corners >= 0]),
+                              np.repeat(np.arange(alph.d), 4))
+
+    @given(alph=_LATTICE_ALPHABETS, axial=_AXIAL_POINTS,
+           tiny=st.lists(st.tuples(_TINY, _TINY), max_size=8))
+    def test_matches_brute_force(self, alph, axial, tiny):
+        q, r = np.array(axial).T
+        pts = np.concatenate([
+            alph.spacing * np.column_stack([q + 0.5 * r, SQRT3 / 2 * r]),
+            np.array(tiny).reshape(-1, 2)])
+        idx, inside = alph.nearest_cell(pts)
+        assert (idx.tolist(), inside.tolist()) == _decode_bruteforce(pts, alph)
+
+    @pytest.mark.parametrize("rings", [0, 3])
+    def test_tiny_coordinates(self, rings):
+        """Next to zero, ``q - floor(q)`` would round to exactly 1: at
+        ``(0, 1.3e-39)``, ``q`` is a tiny negative."""
+        alph = build_hex_alphabet(rings, 200e-6)
+        tiny = np.array([1.3e-39, -1.3e-39, 5e-324, -5e-324, 1e-300, 0.0])
+        pts = np.stack(np.meshgrid(tiny, tiny), axis=-1).reshape(-1, 2)
+        idx, inside = alph.nearest_cell(pts)
+        assert idx.tolist() == [0] * len(pts) and inside.all()
+        assert (idx.tolist(), inside.tolist()) == _decode_bruteforce(pts, alph)
+
+
+class TestDecodeBounds:
+    def test_refuses_points_beyond_the_bound(self):
+        """Past about 1.3e154 m the k-d tree's squared distances overflow;
+        such points are refused before any lookup."""
+        alph = ExperimentConfig().build_alphabet()
+        big = np.nextafter(1e100, np.inf)
+        for pts in ([[1e160, 3e159]], [[big, 0.0]], [[0.0, -big]],
+                    [[0.0, 0.0], [1e300, 0.0]]):
+            with pytest.raises(ValueError, match=r"at most 1e\+100 m"):
+                alph.nearest_cell(pts)
+
+    def test_accepts_the_bound(self):
+        alph = ExperimentConfig().build_alphabet()
+        idx, inside = alph.nearest_cell(
+            [[1e100, -1e100], [-1e100, 0.0], [3e-4, 1e100], [0.0, 0.0]])
+        assert idx.dtype == np.intp and idx.min() >= 0 and idx.max() < alph.d
+        assert inside.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite(self, bad):
+        pts = np.zeros((5, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            _BASE37.nearest_cell(pts)
+
+    def test_no_points(self):
+        idx, inside = _BASE37.nearest_cell(np.zeros((0, 2)))
+        assert idx.shape == inside.shape == (0,)
 
 
 class TestPrune:

@@ -201,6 +201,18 @@ def test_write_csv_refuses_bad_blocks(tmp_path):
         write_csv(path, ("a", "b"), "%d,%d\n", [(np.arange(3), np.ones(3))])
 
 
+@pytest.mark.parametrize("n", (1, 3, 67, 100))
+def test_map_rows_and_columns_follow_the_pixels(tmp_path, n):
+    """Line k of a map is pixel ``(k // n, k % n)``, also when blocks start
+    mid-row (``n`` does not divide ``BLOCK``) or span several rows."""
+    values = np.random.default_rng(n).random((n, n))
+    IntensityMap(values=values, extent=1e-3).to_csv(tmp_path / "map.csv")
+    expected = "row,col,value\n" + "".join(
+        "%d,%d,%.12e\n" % (i, j, values[i, j])
+        for i in range(n) for j in range(n))
+    assert (tmp_path / "map.csv").read_text() == expected
+
+
 def test_map_export_memory_stays_blockwise(tmp_path):
     """A 512² map is written a block at a time: the transient peak stays
     far below the 37 MB of rendering the whole map at once."""
