@@ -118,12 +118,10 @@ def _rhombus_table() -> np.ndarray:
     t = np.arange(_RHOMBUS_K + 1) / _RHOMBUS_K
     q, r = np.meshgrid(t, t, indexing="ij")
     code = np.full((_RHOMBUS_K, _RHOMBUS_K), 4, np.int8)
-    lim = 0.5 - _RHOMBUS_MARGIN  # the inradius at unit spacing
     for c in range(4):
-        x = q - (c & 1) + 0.5 * (r - (c >> 1))
-        y = _HALF_SQRT3 * (r - (c >> 1))
-        ok = ((np.abs(x) <= lim) & (np.abs(0.5 * x + _HALF_SQRT3 * y) <= lim)
-              & (np.abs(0.5 * x - _HALF_SQRT3 * y) <= lim))
+        qc, rc = q - (c & 1), r - (c >> 1)  # the offset from corner c
+        ok = hexagon_mask(qc + 0.5 * rc, _HALF_SQRT3 * rc, (0.0, 0.0),
+                          1.0 / np.sqrt(3.0), rtol=-2.0 * _RHOMBUS_MARGIN)
         code[ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]] = c
     code = code.ravel()
     code.flags.writeable = False
@@ -184,9 +182,19 @@ class HexAlphabet:
             if c.shape[0] != 1 + 3 * self.rings * (self.rings + 1):
                 raise ValueError(f"rings={self.rings} disagrees with d={c.shape[0]}")
         tree = cKDTree(c)
-        if c.shape[0] > 1 and (tree.query(c, k=2)[0][:, 1].min()
-                               < self.spacing * (1.0 - 1e-9)):
-            raise ValueError("cell centers closer than one lattice spacing")
+        # Two cells overlap exactly when their centers' offset lies strictly
+        # inside the hexagon of circumradius 2a, on whose edges lattice
+        # neighbours sit.  Past 1024 centers, two closer than one spacing
+        # (its inradius) are refused first, so that at most 7 lie within 2a
+        # of each and the pairs stay O(d) however dense the input.
+        if c.shape[0] > 1024 and (tree.query(c, k=2)[0][:, 1].min()
+                                  < self.spacing * (1.0 - 1e-9)):
+            raise ValueError("cell hexagons overlap")
+        pairs = tree.query_pairs(2.0 * self.cell_radius, output_type="ndarray")
+        offset = (c.take(pairs[:, 1], axis=0) - c.take(pairs[:, 0], axis=0)).T
+        if hexagon_mask(*offset, (0.0, 0.0), 2.0 * self.cell_radius,
+                        rtol=-1e-9).any():
+            raise ValueError("cell hexagons overlap")
         object.__setattr__(self, "_tree", tree)
         # One grid partition, ``(key, pixel_ids, boundary, sub_ids)``; see
         # ``_grid_partition``.
@@ -262,8 +270,9 @@ class HexAlphabet:
 
         Returns ``(indices, inside)``.  Distances that agree within 1e-12
         of the lattice spacing are a tie, resolved to the lowest index.
-        Raises ``ValueError`` unless every coordinate is finite and at most
-        1e100 m in magnitude.
+        Raises ``ValueError`` unless ``points`` is one point of shape
+        ``(2,)`` or an array of shape ``(m, 2)`` and every coordinate is
+        finite and at most 1e100 m in magnitude.
 
         A point inside the pattern costs O(1): its sub-cell of the unit
         rhombus of the lattice is looked up in one table shared by all
@@ -277,6 +286,9 @@ class HexAlphabet:
         its cell by a margin of 1e-6 spacings, far beyond rounding.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must have shape (2,) or (m, 2), got "
+                             f"{np.shape(points)}")
         if pts.size and not np.abs(pts).max() <= _MAX_COORD:  # NaN fails too
             raise ValueError("points must be finite, with coordinates of at "
                              f"most {_MAX_COORD:g} m in magnitude")

@@ -43,7 +43,6 @@ import numpy as np
 from ._checks import distribution, number
 from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
 from .adversary import _BASIS_FIELDS, attack_batch, eve_information_estimate
-from .alphabet import _SLICE
 from .model import GaussianModel
 from .optics import BasisConfig
 
@@ -171,30 +170,13 @@ class _CharSampler:
         self.lo = lo if self.steps <= _GUIDE_STEPS else None
 
     def __call__(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        u = rng.random(m)
         if self.lo is None:
-            return self.cdf.searchsorted(rng.random(m), side="right")
-        # The uniforms fill the output's memory, and each slice is copied out
-        # before its characters overwrite it: one chunk-sized array where
-        # ``choice`` holds two.
-        out = np.empty(m, np.int64)
-        u = out.view(np.float64)
-        rng.random(m, out=u)
-        size = min(m, _SLICE)
-        us, scaled = np.empty(size), np.empty(size)
-        bucket, step = np.empty(size, np.intp), np.empty(size, bool)
-        for start in range(0, m, _SLICE):
-            k = out[start:start + _SLICE]
-            w = k.shape[0]
-            uw, sw, bw, tw = us[:w], scaled[:w], bucket[:w], step[:w]
-            uw[...] = u[start:start + w]
-            np.multiply(uw, self.buckets, out=sw)
-            bw[...] = sw
-            self.lo.take(bw, out=k)
-            for _ in range(self.steps):
-                self.cdf.take(k, out=sw)
-                np.less_equal(sw, uw, out=tw)
-                k += tw
-        return out
+            return self.cdf.searchsorted(u, side="right")
+        k = self.lo.take((u * self.buckets).astype(np.intp))
+        for _ in range(self.steps):
+            k += self.cdf.take(k) <= u
+        return k
 
 
 def _chunk_draws(seed: int, n: int, chars: _CharSampler, active: bool,

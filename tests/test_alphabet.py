@@ -118,6 +118,9 @@ class TestConstruction:
         spacing = 200e-6 * np.sqrt(3)
         with pytest.raises(ValueError):
             HexAlphabet(200e-6, np.zeros((2, 2)), ("0", "1"))  # coincident
+        with pytest.raises(ValueError, match="overlap"):  # one spacing apart
+            HexAlphabet(200e-6, np.array([[0.0, 0.0], [0.0, spacing]]),
+                        ("a", "b"))
         with pytest.raises(ValueError):
             HexAlphabet(200e-6, np.array([[0.0, 0.0], [spacing, 0.0]]),
                         ("0", "0"))
@@ -143,6 +146,21 @@ class TestConstruction:
             with pytest.raises(ValueError, match="labels must be (a|non)"):
                 HexAlphabet.from_dict({**seven, "labels": labels})
         assert HexAlphabet.from_dict(seven).labels == tuple("0123456")
+
+    def test_dense_overlap_refused_in_linear_memory(self):
+        """The pair test alone would hold all 4.5 million pairs of 3000
+        coincident centers (72 MB); past 1024 centers a nearest-neighbour
+        pass refuses them first."""
+        n = 3000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overlap"):
+                HexAlphabet(200e-6, np.zeros((n, 2)),
+                            tuple(f"#{i}" for i in range(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_control_characters_refused(self):
         """A NUL would vanish from the NUL-padded CSV blocks; a tab or bell
@@ -309,6 +327,8 @@ class TestRhombusLookup:
         code = _RHOMBUS.reshape(k, k)
         assert set(np.unique(code)) <= {0, 1, 2, 3, 4}
         assert (code == 4).mean() < 0.02
+        assert np.bincount(_RHOMBUS, minlength=5).tolist() == [
+            10753, 21547, 21547, 10753, 936]
         i, j = np.nonzero(code < 4)
         dq, dr = code[i, j] & 1, code[i, j] >> 1
         # hex_contains widens the inradius by 1e-12; this radius undoes it.
@@ -364,13 +384,17 @@ class TestRhombusLookup:
 class TestDecodeBounds:
     def test_refuses_points_beyond_the_bound(self):
         """Past about 1.3e154 m the k-d tree's squared distances overflow;
-        such points are refused before any lookup."""
+        such points are refused before any lookup, and so are arrays that
+        are not points in the plane."""
         alph = ExperimentConfig().build_alphabet()
         big = np.nextafter(1e100, np.inf)
         for pts in ([[1e160, 3e159]], [[big, 0.0]], [[0.0, -big]],
                     [[0.0, 0.0], [1e300, 0.0]]):
             with pytest.raises(ValueError, match=r"at most 1e\+100 m"):
                 alph.nearest_cell(pts)
+        for shape in ((5, 3), (1, 4), (2, 2, 2), (0,)):
+            with pytest.raises(ValueError, match=r"shape \(2,\) or \(m, 2\)"):
+                alph.nearest_cell(np.zeros(shape))
 
     def test_accepts_the_bound(self):
         alph = ExperimentConfig().build_alphabet()
@@ -378,6 +402,8 @@ class TestDecodeBounds:
             [[1e100, -1e100], [-1e100, 0.0], [3e-4, 1e100], [0.0, 0.0]])
         assert idx.dtype == np.intp and idx.min() >= 0 and idx.max() < alph.d
         assert inside.tolist() == [False, False, False, True]
+        idx, inside = alph.nearest_cell([1e100, 0.0])  # one point, shape (2,)
+        assert idx.shape == (1,) and not inside[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite(self, bad):
