@@ -184,11 +184,10 @@ class HexAlphabet:
         tree = cKDTree(c)
         # Two cells overlap exactly when their centers' offset lies strictly
         # inside the hexagon of circumradius 2a, on whose edges lattice
-        # neighbours sit.  Past 1024 centers, two closer than one spacing
-        # (its inradius) are refused first, so that at most 7 lie within 2a
-        # of each and the pairs stay O(d) however dense the input.
-        if c.shape[0] > 1024 and (tree.query(c, k=2)[0][:, 1].min()
-                                  < self.spacing * (1.0 - 1e-9)):
+        # neighbours sit.  Two closer than one spacing (its inradius) are
+        # refused first, so that at most 7 lie within 2a of each and the
+        # pairs stay O(d) however dense the input.
+        if tree.query(c, k=2)[0][:, 1].min() < self.spacing * (1.0 - 1e-9):
             raise ValueError("cell hexagons overlap")
         pairs = tree.query_pairs(2.0 * self.cell_radius, output_type="ndarray")
         offset = (c.take(pairs[:, 1], axis=0) - c.take(pairs[:, 0], axis=0)).T

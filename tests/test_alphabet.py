@@ -149,8 +149,8 @@ class TestConstruction:
 
     def test_dense_overlap_refused_in_linear_memory(self):
         """The pair test alone would hold all 4.5 million pairs of 3000
-        coincident centers (72 MB); past 1024 centers a nearest-neighbour
-        pass refuses them first."""
+        coincident centers (72 MB); a nearest-neighbour pass refuses them
+        first."""
         n = 3000
         tracemalloc.start()
         try:
