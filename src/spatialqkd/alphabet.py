@@ -144,15 +144,11 @@ class HexAlphabet:
     labels : list or tuple of str
         One per cell, unique, non-empty printable ASCII (no control
         character), no comma or quote, and not ``(residual)``.
-    rings : int or None
-        Number of complete rings when the alphabet was built that way;
-        ``d`` is then ``1 + 3 * rings * (rings + 1)``.
     """
 
     cell_radius: float
     centers: np.ndarray
     labels: tuple[str, ...]
-    rings: int | None = None
 
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
@@ -177,10 +173,6 @@ class HexAlphabet:
             raise ValueError("alphabet labels must be unique")
         if not np.all(np.isfinite(c)):
             raise ValueError("cell centers must be finite")
-        if self.rings is not None:
-            count("rings", self.rings, 0)
-            if c.shape[0] != 1 + 3 * self.rings * (self.rings + 1):
-                raise ValueError(f"rings={self.rings} disagrees with d={c.shape[0]}")
         tree = cKDTree(c)
         # Two cells overlap exactly when their centers' offset lies strictly
         # inside the hexagon of circumradius 2a, on whose edges lattice
@@ -350,7 +342,6 @@ class HexAlphabet:
     def to_dict(self) -> dict:
         return {
             "cell_radius": self.cell_radius,
-            "rings": self.rings,
             "labels": list(self.labels),
             "centers": [[float(x), float(y)] for x, y in self.centers],
         }
@@ -359,8 +350,7 @@ class HexAlphabet:
     def from_dict(cls, data: dict) -> "HexAlphabet":
         return cls(cell_radius=data["cell_radius"],
                    centers=np.asarray(data["centers"], dtype=np.float64),
-                   labels=data["labels"],
-                   rings=data.get("rings"))
+                   labels=data["labels"])
 
 
 def build_hex_alphabet(rings: int = 3, cell_radius: float = 200e-6) -> HexAlphabet:
@@ -374,7 +364,7 @@ def build_hex_alphabet(rings: int = 3, cell_radius: float = 200e-6) -> HexAlphab
     centers = np.concatenate([_ring_offsets(ring, spacing)
                               for ring in range(rings + 1)])
     return HexAlphabet(cell_radius=cell_radius, centers=centers,
-                       labels=_spiral_labels(len(centers)), rings=rings)
+                       labels=_spiral_labels(len(centers)))
 
 
 def build_packed_alphabet(envelope_radius: float,
@@ -399,7 +389,7 @@ def build_packed_alphabet(envelope_radius: float,
     if not len(centers):
         centers = np.zeros((1, 2))
     return HexAlphabet(cell_radius=cell_radius, centers=centers,
-                       labels=_spiral_labels(len(centers)), rings=None)
+                       labels=_spiral_labels(len(centers)))
 
 
 def calibrate_envelope(alphabet: HexAlphabet) -> float:
@@ -666,8 +656,7 @@ def prune_alphabet(alphabet: HexAlphabet, labels) -> HexAlphabet:
         raise ValueError("pruning would remove every character")
     return HexAlphabet(cell_radius=alphabet.cell_radius,
                        centers=alphabet.centers[keep],
-                       labels=tuple(alphabet.labels[i] for i in keep),
-                       rings=None)
+                       labels=tuple(alphabet.labels[i] for i in keep))
 
 
 def save_alphabet(alphabet: HexAlphabet, path: str | os.PathLike) -> None:

@@ -30,7 +30,7 @@ from .config import ConfigError, ExperimentConfig
 from .infotheory import (CLONING_ATTACK_ERROR_BOUND, security_crossover,
                          security_report, shannon_entropy)
 from .model import GaussianModel
-from .optics import BasisConfig, SamplingError
+from .optics import BasisConfig
 from .protocol import run_session
 
 __all__ = ["main", "build_parser"]
@@ -56,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_maps.add_argument("--configs", default="FF,II,IF,FI",
                         help="comma-separated configurations "
                              "(default: %(default)s)")
-    p_maps.add_argument("--formats", default="csv,pgm",
-                        help="comma-separated map formats among csv,pgm "
-                             "(default: %(default)s)")
 
     p_sim = sub.add_parser(
         "simulate", parents=[common],
@@ -68,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eta", type=float, metavar="X",
                        help="intercepted fraction")
     p_sim.add_argument("--strategy", choices=STRATEGIES)
-    p_sim.add_argument("--evidence-threshold", type=float, metavar="EPS")
-    p_sim.add_argument("--source", choices=("model", "uniform"))
     p_sim.add_argument("--round-log", action="store_true",
                        help="also write the full per-round CSV")
 
@@ -104,12 +99,6 @@ def cmd_maps(args: argparse.Namespace) -> int:
     alphabet = cfg.build_alphabet()
     char = args.char if args.char is not None else alphabet.labels[0]
     idx = alphabet.index_of(char)
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    bad = set(formats) - {"csv", "pgm"}
-    if bad:
-        raise ConfigError(f"unknown map formats: {', '.join(sorted(bad))}")
-    if not formats:
-        raise ConfigError("no map format given; choose among csv,pgm")
     configs = [BasisConfig.from_label(c.strip())
                for c in args.configs.split(",") if c.strip()]
 
@@ -121,10 +110,8 @@ def cmd_maps(args: argparse.Namespace) -> int:
     for config in configs:
         imap = model.intensity_grid(config, idx)
         stem = os.path.join(out, f"map_{config.label}_{char}")
-        if "csv" in formats:
-            imap.to_csv(stem + ".csv")
-        if "pgm" in formats:
-            imap.to_pgm(stem + ".pgm")
+        imap.to_csv(stem + ".csv")
+        imap.to_pgm(stem + ".pgm")
     p_same, _ = table.column("FF", char)
     print(f"alphabet: {alphabet.d} characters, cell radius "
           f"{alphabet.cell_radius:.3e} m")
@@ -137,8 +124,7 @@ def cmd_maps(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args).override(
         rounds=args.rounds, seed=args.seed, eta=args.eta,
-        strategy=args.strategy, evidence_threshold=args.evidence_threshold,
-        source=args.source)
+        strategy=args.strategy)
     if args.round_log and not cfg.session.keep_log:
         raise ConfigError("round log requested but keep_log is disabled")
     out = _outdir(args)
@@ -257,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, SamplingError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

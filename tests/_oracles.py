@@ -15,7 +15,9 @@ matrix.  The dense probability table does use the package's hexagon
 quadrature, since that is checked above, but integrates every (source, cell)
 pair, where the package skips the cells beyond its cutoff and integrates
 each lattice offset once.  The lattice centres are walked site by site,
-where the package takes one cumulative sum per ring.
+where the package takes one cumulative sum per ring.  The sifted
+intercept-resend error reads the package's probability table but derives
+each branch's weight from detection, where the package draws rounds.
 """
 
 import numpy as np
@@ -304,6 +306,29 @@ def mutual_information_exact(p, errors) -> float:
     mask = joint > 0
     terms = special.xlogy(joint[mask], joint[mask] / denom[mask])
     return float(terms.sum() / np.log(2.0))
+
+
+def intercept_resend_sifted_error(model, probs, eta) -> np.ndarray:
+    """Per-character sifted error under intercept-resend, weighting each
+    branch by Bob's detection probability, which sifting conditions on.
+
+    From ``probability_table()``: ``D_k`` is the FF row sum, ``e_k`` the
+    FF row's off-diagonal share and ``D_env`` the envelope row sum.  The II
+    block is the point inversion of FF and is decoded in the un-inverted
+    frame, so one rate serves both matched blocks.  An untapped photon
+    (weight ``1 - eta``) errs with ``e_k``, one resent in the sender's basis
+    (``eta / 2``) with about ``2 e_k``, and one resent in the other basis
+    (``eta / 2``) lands in the envelope and errs with ``1 - P_k``, the
+    paper's closed form.
+    """
+    table = model.probability_table()
+    ff = table.probs["FF"]
+    d_k = ff.sum(axis=1)
+    e_k = 1.0 - np.diagonal(ff) / d_k
+    d_env = float(table.probs["IF"][0].sum())
+    num = ((1.0 - eta) * d_k * e_k + eta / 2 * d_k * 2.0 * e_k
+           + eta / 2 * d_env * (1.0 - probs))
+    return num / ((1.0 - eta) * d_k + eta / 2 * d_k + eta / 2 * d_env)
 
 
 def sample_plane_reference(model, noise, prep_code, idx, meas_code):

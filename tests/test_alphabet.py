@@ -1,3 +1,4 @@
+import json
 import mmap
 import tracemalloc
 
@@ -131,9 +132,6 @@ class TestConstruction:
             build_hex_alphabet(True)  # would be the 7-cell alphabet
         with pytest.raises(ValueError, match="cell_radius"):
             HexAlphabet.from_dict({**_BASE37.to_dict(), "cell_radius": True})
-        for rings in ("many", 5):  # 5 rings would be 91 cells, not 37
-            with pytest.raises(ValueError, match="rings"):
-                HexAlphabet.from_dict({**_BASE37.to_dict(), "rings": rings})
         seven = build_hex_alphabet(1, 200e-6).to_dict()
         for labels in ([0, 1, 2, 3, 4, 5, 6], "abcdefg",
                        ["a,b", "1", "2", "3", "4", "5", "6"],
@@ -660,7 +658,18 @@ class TestSerialization:
         assert loaded.labels == alphabet37.labels
         assert loaded.cell_radius == alphabet37.cell_radius
         assert np.array_equal(loaded.centers, alphabet37.centers)
-        assert loaded.rings == alphabet37.rings
+
+    def test_file_with_rings_key_loads(self, alphabet37, tmp_path):
+        """Files written when alphabets stored their ring count still load."""
+        data = alphabet37.to_dict()
+        path = tmp_path / "alphabet.json"
+        path.write_text(json.dumps({"cell_radius": data["cell_radius"],
+                                    "rings": 3, "labels": data["labels"],
+                                    "centers": data["centers"]}, indent=2))
+        loaded = load_alphabet(path)
+        assert loaded.labels == alphabet37.labels
+        assert loaded.cell_radius == alphabet37.cell_radius
+        assert loaded.centers.tobytes() == alphabet37.centers.tobytes()
 
     def test_round_trip_of_pruned(self, alphabet37, tmp_path):
         pruned = prune_alphabet(alphabet37, ["1", "7"])

@@ -349,8 +349,7 @@ class TestCliMaps:
     def test_default_outputs(self, tmp_path, small_config, capsys):
         out = tmp_path / "maps"
         code = main(["maps", "--config", small_config, "--out", str(out),
-                     "--char", "7", "--configs", "FF,IF",
-                     "--formats", "csv,pgm"])
+                     "--char", "7", "--configs", "FF,IF"])
         assert code == 0
         assert (out / "alphabet.json").exists()
         table = (out / "probability_maps.csv").read_text().splitlines()
@@ -366,7 +365,7 @@ class TestCliMaps:
         source alphabet (more cell columns than source rows)."""
         out = tmp_path / "maps"
         code = main(["maps", "--out", str(out), "--char", "7",
-                     "--configs", "FF,IF", "--formats", "csv"])
+                     "--configs", "FF,IF"])
         assert code == 0
         wide = GaussianModel(alphabet=build_hex_alphabet(1, 200e-6))
         wide.probability_table(build_hex_alphabet(3, 200e-6)).to_csv(
@@ -390,18 +389,6 @@ class TestCliMaps:
             ["maps", "--config", small_config, "--char", "zz"],
             tmp_path / "m")
         assert "zz" in capsys.readouterr().err
-
-    def test_unknown_format(self, tmp_path, small_config):
-        assert_refused_before_output(
-            ["maps", "--config", small_config, "--formats", "bmp"],
-            tmp_path / "m")
-
-    @pytest.mark.parametrize("formats", ["", ",", " , "])
-    def test_empty_format_list(self, tmp_path, small_config, formats, capsys):
-        assert_refused_before_output(
-            ["maps", "--config", small_config, "--formats", formats],
-            tmp_path / "m")
-        assert "no map format" in capsys.readouterr().err
 
     def test_unknown_config_label(self, tmp_path, small_config):
         assert_refused_before_output(
