@@ -11,7 +11,11 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   set-up included, with no attack and under ``suppress_on_evidence``;
 - ``table``, at the same sizes (``--large`` adds d = 4921, about 0.4 GB):
   ``probability_table()`` build time, hexagons integrated, and MB held;
-- ``export``: the CSV tables of the benchmark's ``cli_outputs`` run.
+- ``export``: the CSV tables of the benchmark's ``cli_outputs`` run;
+- ``optics``, on the default 512² grid: milliseconds per ``propagate_chain``
+  over the FF, II and IF chains and per containment check, the chains'
+  ``tracemalloc`` peak in complex planes, and the process's minor page
+  faults per chain, from ``getrusage``.
 
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
@@ -23,6 +27,7 @@ tree share, about 0.02, catches a fall-back to the k-d tree on any host:
 import argparse
 import json
 import os
+import resource
 import sys
 import tempfile
 import timeit
@@ -34,7 +39,9 @@ from spatialqkd import model
 from spatialqkd.adversary import eve_log_to_csv
 from spatialqkd.alphabet import _SLICE, build_hex_alphabet
 from spatialqkd.config import AlphabetParams, ExperimentConfig
-from spatialqkd.optics import BasisConfig
+from spatialqkd.optics import (ApertureSpec, BasisConfig, Geometry,
+                               _check_contained, full_chain,
+                               make_aperture_field, propagate_chain)
 from spatialqkd.protocol import run_session
 
 RINGS = (3, 10, 20)
@@ -45,6 +52,9 @@ REPEATS = 5
 DECODE_BOUNDS = {"decode_points_per_s": (1e6, np.inf), "tree_share": (0, 0.05),
                  "rounds_per_s_none": (2e5, np.inf),
                  "rounds_per_s_suppress": (1.2e5, np.inf)}
+CHAINS = ("FF", "II", "IF")
+OPTICS_BOUNDS = {**{f"chain_ms_{label}": (0, 100.0) for label in CHAINS},
+                 "check_ms": (0, 5.0)}
 
 
 def best_time(run) -> float:
@@ -129,6 +139,34 @@ def export_tables():
         log.eve_dropped[hit], log.labels)
 
 
+def optics_row() -> dict:
+    """A displaced Gaussian aperture state through three of the
+    ``optics_crosscheck`` chains.  Faults are counted over ``REPEATS`` more
+    chains of each, after the timed ones have warmed the heap."""
+    geom = Geometry()
+    field = make_aperture_field(ApertureSpec(
+        "gaussian", geom.aperture_waist, (346.4e-6, 600e-6)), geom)
+    chains = [full_chain(BasisConfig.from_label(label), geom)
+              for label in CHAINS]
+    row = {"layer": "optics", "n": geom.grid_samples}
+    for label, chain in zip(CHAINS, chains):
+        row[f"chain_ms_{label}"] = round(
+            1e3 * best_time(lambda: propagate_chain(field, chain)), 3)
+    row["check_ms"] = round(
+        1e3 * best_time(lambda: _check_contained(field, "here")), 3)
+    plane_mb = 16 * geom.grid_samples ** 2 / 1e6
+    row["peak_planes"] = max(round(traced_peak(
+        lambda: propagate_chain(field, chain))[1] / plane_mb, 3)
+        for chain in chains)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for chain in chains:
+        for _ in range(REPEATS):
+            propagate_chain(field, chain)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    row["faults_per_chain"] = round(faults / (REPEATS * len(chains)), 1)
+    return row
+
+
 def rows(large: bool):
     """Each ``(row, bounds)``, ``bounds`` mapping a key to its limits."""
     for rings in RINGS:
@@ -144,6 +182,7 @@ def rows(large: bool):
                    "rows_per_s": round(count / write_s),
                    "peak_mb": traced_peak(lambda: write(path))[1]}, (
                 {"write_s": (0, 1.0)} if name.startswith("map_") else {})
+    yield optics_row(), OPTICS_BOUNDS
 
 
 def main(argv=None) -> int:

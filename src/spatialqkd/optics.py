@@ -13,8 +13,9 @@ and rescales the grid half-extent to ``lam * f * n / (4 * extent)``.  The
 centered DFT applied twice is ``n**2`` times the point inversion on the
 sample lattice, so the plane after any lens is the input or its one
 transform, inverted or not, times a real factor.  A chain thus costs one
-transform, and as the containment check's border frame is symmetric about
-the grid origin, only those two planes need checking.
+transform and one plane, the transform's, which then takes the output; as
+the containment check's border frame is symmetric about the grid origin,
+only those two planes need checking, each read once.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ class OpticalField:
             raise GeometryError("field grid must have an even number of samples")
         number("extent", self.extent, "(0, inf)", GeometryError)
         number("wavelength", self.wavelength, "(0, inf)", GeometryError)
-        if not np.all(np.isfinite(a.view(np.float64))):
+        # A finite sum of squares needs every sample finite; only a sum that
+        # overflows or meets a non-finite sample takes the elementwise test.
+        if not np.isfinite(_sum_sq(a)) and not np.isfinite(a).all():
             raise GeometryError("field samples contain non-finite values")
 
     @property
@@ -241,6 +244,14 @@ class OpticalField:
 
     def normalized(self) -> "OpticalField":
         return _unit_field(self.samples.copy(), self.extent, self.wavelength)
+
+
+def _sum_sq(a: np.ndarray) -> float:
+    """``sum(|a|**2)`` by one ``vdot``, which copies ``a`` only when it is
+    not contiguous.  It is finite only if every sample is, but may also be
+    inf or nan for finite samples whose squares overflow."""
+    a = a.ravel()
+    return float(np.vdot(a, a).real)
 
 
 def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
@@ -375,18 +386,21 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
 def _lens_step(field: OpticalField, focal: float) -> OpticalField:
     """One confocal lens: optical Fourier transform onto a rescaled grid.
 
-    Reads ``field`` and owns two planes: the ``ifftshift`` copy, transformed
-    in place, and the output.  ``fftshift`` swaps each axis's halves, so each
-    output quadrant is the opposite one of the transform times the scale."""
-    ft = np.fft.ifftshift(field.samples)
-    np.fft.fft2(ft, out=ft)
-    scale = field.step ** 2 / (field.wavelength * focal)
-    out = np.empty_like(ft)
-    h = field.n // 2
-    np.multiply(ft[h:, h:], scale, out=out[:h, :h])
-    np.multiply(ft[h:, :h], scale, out=out[:h, h:])
-    np.multiply(ft[:h, h:], scale, out=out[h:, :h])
-    np.multiply(ft[:h, :h], scale, out=out[h:, h:])
+    Reads ``field`` and owns one plane, the output.  For even ``n`` both
+    ``ifftshift`` and ``fftshift`` swap opposite quadrants: the input's are
+    copied swapped into the plane, which is transformed and scaled in place,
+    and its quadrants are then swapped back through one quadrant of scratch.
+    A ufunc between two quadrants would buffer; plain copies do not."""
+    src, h = field.samples, field.n // 2
+    out = np.empty_like(src)
+    out[:h, :h], out[h:, h:] = src[h:, h:], src[:h, :h]
+    out[:h, h:], out[h:, :h] = src[h:, :h], src[:h, h:]
+    np.fft.fft2(out, out=out)
+    out *= field.step ** 2 / (field.wavelength * focal)
+    quadrant = out[:h, :h].copy()
+    out[:h, :h], out[h:, h:] = out[h:, h:], quadrant
+    quadrant[...] = out[:h, h:]
+    out[:h, h:], out[h:, :h] = out[h:, :h], quadrant
     new_extent = field.wavelength * focal * field.n / (4.0 * field.extent)
     return OpticalField(out, new_extent, field.wavelength)
 
@@ -398,15 +412,20 @@ _BORDER_POWER_TOL = 1e-6
 def _check_contained(field: OpticalField, where: str) -> None:
     """Refuse a field with power in the border frame.  Its inner window,
     ``[b + 1, n - b)`` on both axes, is symmetric about the origin ``n/2``,
-    so inverting or scaling a field keeps its border fraction."""
-    n = field.n
+    so inverting or scaling a field keeps its border fraction.
+
+    Reads the plane once with no full-size temporary: the total power is
+    one ``vdot``, and the border power the sum over the frame's four
+    strips, about a fifth of the plane at the default 512²."""
+    s, n = field.samples, field.n
     border = max(1, int(round(_BORDER_FRACTION * n)))
-    intensity = field.intensity()
-    total = float(intensity.sum())
+    total = _sum_sq(s)
     if total <= 0:
         raise SamplingError(f"zero-power field {where}")
-    inner = float(intensity[border + 1:n - border, border + 1:n - border].sum())
-    frac = (total - inner) / total
+    inner = slice(border + 1, n - border)
+    frac = sum(_sum_sq(strip) for strip in (
+        s[:border + 1], s[n - border:], s[inner, :border + 1],
+        s[inner, n - border:])) / total
     if frac > _BORDER_POWER_TOL:
         raise SamplingError(
             f"field power reaches the grid border {where}: fraction {frac:.3e} "
@@ -424,6 +443,9 @@ def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
     plane thus shares the border fraction of the input or of that transform,
     so only those two are checked; power near the grid border in either
     raises :class:`SamplingError` naming it.
+
+    A chain costs one transform and one plane, the lens step's: once it is
+    checked, an even chain writes the inverted or scaled input over it.
     """
     focal_lengths = tuple(number("focal length", f, "(0, inf)", GeometryError)
                           for f in focal_lengths)
@@ -436,25 +458,32 @@ def propagate_chain(field: OpticalField, focal_lengths) -> OpticalField:
     extent = field.extent
     for f in focal_lengths:
         extent = field.wavelength * f * field.n / (4.0 * extent)
-    out = (first if k % 2 else field).samples
+    plane = first.samples
+    # An even chain has at least one ratio, so the input never stays as is.
+    out = plane if k % 2 else field.samples
     if k // 2 % 2:
-        out = _inverted(out)
+        out = _inverted(out, plane)
     for j in range(k % 2 + 2, k + 1, 2):
         ratio = focal_lengths[j - 2] / focal_lengths[j - 1]
-        # In place, except on the caller's own samples.
-        out = np.multiply(out, ratio, out=None if out is field.samples else out)
-    return OpticalField(out, extent, field.wavelength)
+        out = np.multiply(out, ratio, out=plane)
+    return OpticalField(plane, extent, field.wavelength)
 
 
-def _inverted(samples: np.ndarray) -> np.ndarray:
-    """Point inversion about index ``n/2``: flip both axes, roll by one."""
-    return np.roll(np.flip(samples, axis=(0, 1)), 1, axis=(0, 1))
+def _inverted(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Point inversion about index ``n/2``, written into ``out``: index
+    ``i`` goes to ``(n - i) mod n`` on both axes, so row and column 0 stay
+    and the rest is reversed.  ``out`` may be ``samples`` itself."""
+    out[0, 0] = samples[0, 0]
+    out[0, 1:] = samples[0, :0:-1]
+    out[1:, 0] = samples[:0:-1, 0]
+    out[1:, 1:] = samples[:0:-1, :0:-1]
+    return out
 
 
 def point_inverted(field: OpticalField) -> OpticalField:
     """Point inversion about the grid origin, exact on the sample lattice."""
-    return OpticalField(_inverted(field.samples), field.extent,
-                        field.wavelength)
+    return OpticalField(_inverted(field.samples, np.empty_like(field.samples)),
+                        field.extent, field.wavelength)
 
 
 def arm_chain(basis: Basis, geom: Geometry) -> tuple[float, ...]:

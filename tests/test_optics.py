@@ -144,6 +144,47 @@ class TestOpticalField:
         with pytest.raises(GeometryError, match="wavelength"):
             OpticalField(np.ones((4, 4)), 1e-3, wavelength)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                       complex(0, np.nan), complex(0, -np.inf),
+                                       complex(np.inf, np.nan)])
+    def test_non_finite_refused(self, value):
+        samples = np.ones((16, 16), dtype=np.complex128)
+        samples[3, 11] = value
+        with pytest.raises(GeometryError) as err:
+            OpticalField(samples, 1e-3, 5e-7)
+        assert str(err.value) == "field samples contain non-finite values"
+
+    def test_overflowing_power_accepted(self):
+        """Finite samples whose sum of squares overflows fall back on the
+        elementwise test, and pass it."""
+        samples = np.full((16, 16), 1e200 - 3e199j)
+        assert not np.isfinite(optics._sum_sq(samples))
+        field = OpticalField(samples, 1e-3, 5e-7)
+        assert field.samples is samples
+
+    def test_transposed_samples_accepted(self, geom):
+        """A field whose samples are a transposed view is accepted and
+        propagates to the same bits as its C-ordered copy."""
+        samples = asymmetric_field(geom).samples.T
+        chain = full_chain(BasisConfig.from_label("II"), geom)
+        out = propagate_chain(OpticalField(samples, geom.grid_extent,
+                                           geom.wavelength), chain)
+        ref = propagate_chain(OpticalField(samples.copy(), geom.grid_extent,
+                                           geom.wavelength), chain)
+        assert out.samples.tobytes() == ref.samples.tobytes()
+
+    def test_overflowing_transform_refused(self):
+        """A finite field whose transform overflows: the lens step's output
+        is refused as non-finite, and the caller's field is left alone."""
+        samples = np.zeros((16, 16), dtype=np.complex128)
+        samples[2:15, 2:15] = 2e306
+        field = OpticalField(samples, 1e-3, 5e-7)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(GeometryError) as err:
+            propagate_chain(field, (0.1,))
+        assert str(err.value) == "field samples contain non-finite values"
+        assert np.all(samples[2:15, 2:15] == 2e306)
+
 
 class TestTransforms:
     def test_lens_power_and_extent(self, geom):
@@ -261,6 +302,25 @@ def _contained(field):
     except SamplingError:
         return False
     return True
+
+
+@pytest.mark.parametrize("frac, contained", [(0.99e-6, True), (1.01e-6, False)])
+def test_border_tolerance(frac, contained):
+    """A 16² field with a 13² inner window of ones and one border sample
+    holding ``frac`` of the power: refused just above ``_BORDER_POWER_TOL``
+    with the fraction in the message, accepted just below it."""
+    samples = np.zeros((16, 16), dtype=np.complex128)
+    samples[2:15, 2:15] = 1.0
+    samples[0, 5] = np.sqrt(169.0 * frac / (1.0 - frac))
+    field = OpticalField(samples, 1e-3, 5e-7)
+    assert _contained(field) == contained
+    if not contained:
+        with pytest.raises(SamplingError) as err:
+            optics._check_contained(field, "here")
+        assert str(err.value) == (
+            "field power reaches the grid border here: fraction 1.010e-06 of "
+            "total lies in the outer 5% frame (half-extent 1.0000e-03 m, 16 "
+            "samples); enlarge the grid extent or refine the sampling")
 
 
 @settings(max_examples=60)
@@ -528,7 +588,7 @@ class TestAllocations:
 
     def test_aperture_field(self, geom):
         spec = _spec("gaussian", 100e-6)
-        # the float amplitude, the complex field and the finiteness mask
+        # the float amplitude and the complex field
         assert _peak_planes(lambda: make_aperture_field(spec, geom),
                             geom.grid_samples) <= 1.7
 
@@ -550,10 +610,23 @@ class TestAllocations:
     def test_propagate_chain(self, geom):
         field = make_aperture_field(_spec("gaussian", 100e-6), geom)
         chain = full_chain(BasisConfig.from_label("II"), geom)
-        # the shifted copy transformed in place, the lens output and the
-        # finiteness mask
+        # the lens step's plane, which ends as the output, and its quadrant
+        # of scratch: 1.25 measured, plus 0.05 of margin
         assert _peak_planes(lambda: propagate_chain(field, chain),
-                            geom.grid_samples) <= 2.2
+                            geom.grid_samples) <= 1.3
+
+    def test_lens_step(self, geom):
+        field = make_aperture_field(_spec("gaussian", 100e-6), geom)
+        # the output plane and one quadrant
+        assert _peak_planes(lambda: optics._lens_step(field, 0.2),
+                            geom.grid_samples) <= 1.3
+
+    def test_check_contained(self, geom):
+        """No full-size temporary: only the two side strips of the border
+        frame are copied, one at a time, 0.05 plane each."""
+        field = make_aperture_field(_spec("gaussian", 100e-6), geom)
+        assert _peak_planes(lambda: optics._check_contained(field, "here"),
+                            geom.grid_samples) <= 0.1
 
     def test_detection_probability_map(self, geom):
         field = make_aperture_field(_spec("gaussian", 100e-6), geom)
