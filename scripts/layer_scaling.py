@@ -13,9 +13,10 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   ``probability_table()`` build time, hexagons integrated, and MB held;
 - ``export``: the CSV tables of the benchmark's ``cli_outputs`` run;
 - ``optics``, on the default 512² grid: milliseconds per ``propagate_chain``
-  over the FF, II and IF chains and per containment check, the chains'
-  ``tracemalloc`` peak in complex planes, and the process's minor page
-  faults per chain, from ``getrusage``.
+  over the FF, II and IF chains, per containment check and per Gaussian
+  plane (an aperture field and an IF closed form), the chains' and the
+  planes' ``tracemalloc`` peaks in complex planes, and the process's minor
+  page faults per chain, from ``getrusage``.
 
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
@@ -40,8 +41,9 @@ from spatialqkd.adversary import eve_log_to_csv
 from spatialqkd.alphabet import _SLICE, build_hex_alphabet
 from spatialqkd.config import AlphabetParams, ExperimentConfig
 from spatialqkd.optics import (ApertureSpec, BasisConfig, Geometry,
-                               _check_contained, full_chain,
-                               make_aperture_field, propagate_chain)
+                               _check_contained, analytic_amplitude,
+                               full_chain, make_aperture_field,
+                               propagate_chain)
 from spatialqkd.protocol import run_session
 
 RINGS = (3, 10, 20)
@@ -54,7 +56,8 @@ DECODE_BOUNDS = {"decode_points_per_s": (1e6, np.inf), "tree_share": (0, 0.05),
                  "rounds_per_s_suppress": (1.2e5, np.inf)}
 CHAINS = ("FF", "II", "IF")
 OPTICS_BOUNDS = {**{f"chain_ms_{label}": (0, 100.0) for label in CHAINS},
-                 "check_ms": (0, 5.0)}
+                 "check_ms": (0, 5.0), "field_ms_aperture": (0, 20.0),
+                 "field_ms_crossed": (0, 20.0)}
 
 
 def best_time(run) -> float:
@@ -144,8 +147,8 @@ def optics_row() -> dict:
     ``optics_crosscheck`` chains.  Faults are counted over ``REPEATS`` more
     chains of each, after the timed ones have warmed the heap."""
     geom = Geometry()
-    field = make_aperture_field(ApertureSpec(
-        "gaussian", geom.aperture_waist, (346.4e-6, 600e-6)), geom)
+    spec = ApertureSpec("gaussian", geom.aperture_waist, (346.4e-6, 600e-6))
+    field = make_aperture_field(spec, geom)
     chains = [full_chain(BasisConfig.from_label(label), geom)
               for label in CHAINS]
     row = {"layer": "optics", "n": geom.grid_samples}
@@ -154,10 +157,17 @@ def optics_row() -> dict:
             1e3 * best_time(lambda: propagate_chain(field, chain)), 3)
     row["check_ms"] = round(
         1e3 * best_time(lambda: _check_contained(field, "here")), 3)
+    crossed = BasisConfig.from_label("IF")
+    planes = {"aperture": lambda: make_aperture_field(spec, geom),
+              "crossed": lambda: analytic_amplitude(crossed, spec, geom)}
+    for name, build in planes.items():
+        row[f"field_ms_{name}"] = round(1e3 * best_time(build), 3)
     plane_mb = 16 * geom.grid_samples ** 2 / 1e6
     row["peak_planes"] = max(round(traced_peak(
         lambda: propagate_chain(field, chain))[1] / plane_mb, 3)
         for chain in chains)
+    row["field_peak_planes"] = max(round(traced_peak(build)[1] / plane_mb, 3)
+                                   for build in planes.values())
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for chain in chains:
         for _ in range(REPEATS):

@@ -26,7 +26,7 @@ with one ``write`` once the NULs are dropped: no Python object per field.
   integer.  The exponent text is one lookup in :data:`_EXPONENTS`.
 * ``%.<p>f`` fields, only in the few rows of ``security.csv``, all go to ``%``.
 
-A 512² map takes about 0.05 s to write (2-core Xeon), with a 0.55 MB peak.
+A 512² map takes 0.03-0.05 s to write (2-core Xeon), with a 0.47 MB peak.
 """
 
 from __future__ import annotations

@@ -257,7 +257,8 @@ def _sum_sq(a: np.ndarray) -> float:
 def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
                 empty: str = "cannot normalize a zero-power field",
                 ) -> OpticalField:
-    """One field of ``amp`` at unit power; raises ``empty`` if it has none.
+    """One field of ``amp`` at unit power; raises ``empty`` if it has none,
+    and refuses a power that overflows rather than scale the field to zero.
 
     ``amp``, float64 or complex128, is handed over and scaled in place.  A
     real ``amp`` is multiplied by ``1 / sqrt(power)`` before its one complex
@@ -266,12 +267,32 @@ def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
     power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
     if power <= 0:
         raise GeometryError(empty)
+    if not np.isfinite(power):
+        raise GeometryError("cannot normalize a field whose power overflows")
     norm = np.sqrt(power)
     if np.iscomplexobj(amp):
         amp /= norm
     else:
         amp *= 1.0 / norm
         amp = amp.astype(np.complex128)
+    return OpticalField(amp, extent, wavelength)
+
+
+def _separable_field(gx: np.ndarray, gy: np.ndarray, extent: float,
+                     wavelength: float,
+                     empty: str = "cannot normalize a zero-power field",
+                     ) -> OpticalField:
+    """The field ``outer(gx, gy)`` at unit power, as :func:`_unit_field`
+    would give it, written in one pass into a plane allocated once.
+
+    Its power factorises as ``sum|gx|**2 * sum|gy|**2 * step**2``, so the
+    scale ``1 / sqrt(power)`` is applied to ``gx`` in 1-D.  The samples
+    differ from normalising the 2-D product by a few ulp of the peak."""
+    power = _sum_sq(gx) * _sum_sq(gy) * (2.0 * extent / gx.size) ** 2
+    if power <= 0:
+        raise GeometryError(empty)
+    amp = np.empty((gx.size, gy.size), dtype=np.complex128)
+    np.multiply((gx * (1.0 / np.sqrt(power)))[:, None], gy, out=amp)
     return OpticalField(amp, extent, wavelength)
 
 
@@ -307,15 +328,19 @@ class IntensityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write rows ``row,col,value`` where row indexes x and col indexes y."""
         n, flat = self.n, self.values.ravel()
+        # The text of each index 0 .. n - 1, gathered rather than rendered.
+        index = np.array([b"%d" % i for i in range(n)])
         # Rows and columns of pixels 0 .. BLOCK + n - 1; a block starting at
         # row r0, column c0 reads them from c0 on and adds r0 to the rows.
         rows, cols = np.divmod(np.arange(BLOCK + n), n)
+        cols = index[cols]
 
         def fields(k: np.ndarray):
             r0, c0 = divmod(int(k[0]), n)
-            return rows[c0:c0 + k.size] + r0, cols[c0:c0 + k.size], flat[k]
+            return (index[rows[c0:c0 + k.size] + r0], cols[c0:c0 + k.size],
+                    flat[k])
 
-        write_csv(path, ("row", "col", "value"), "%d,%d,%.12e\n",
+        write_csv(path, ("row", "col", "value"), "%s,%s,%.12e\n",
                   (fields(k) for k in row_blocks(flat.size)))
 
     def to_pgm(self, path: str | os.PathLike) -> None:
@@ -365,22 +390,22 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
             f"aperture at {spec.center} with size {spec.size:g} leaves the grid "
             f"(half-extent {geom.grid_extent:g})")
     c = grid_coords(geom.grid_samples, geom.grid_extent)
+    step = 2.0 * geom.grid_extent / geom.grid_samples
+    empty = (f"aperture of size {spec.size:g} covers no grid samples "
+             f"(grid step {step:g})")
     if spec.shape == "gaussian":
         # Separable: the outer product of one 1-D exponential per axis.
-        amp = np.outer(np.exp(-(c - cx) ** 2 / spec.size ** 2),
-                       np.exp(-(c - cy) ** 2 / spec.size ** 2))
+        return _separable_field(np.exp(-(c - cx) ** 2 / spec.size ** 2),
+                                np.exp(-(c - cy) ** 2 / spec.size ** 2),
+                                geom.grid_extent, geom.wavelength, empty)
+    # A column and a row of coordinates, broadcast to the plane.
+    x, y = c[:, None], c[None, :]
+    if spec.shape == "circular":
+        rsq = (x - cx) ** 2 + (y - cy) ** 2
+        amp = (rsq <= spec.size ** 2).astype(np.float64)
     else:
-        # A column and a row of coordinates, broadcast to the plane.
-        x, y = c[:, None], c[None, :]
-        if spec.shape == "circular":
-            rsq = (x - cx) ** 2 + (y - cy) ** 2
-            amp = (rsq <= spec.size ** 2).astype(np.float64)
-        else:
-            amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
-    step = 2.0 * geom.grid_extent / geom.grid_samples
-    return _unit_field(amp, geom.grid_extent, geom.wavelength,
-                       f"aperture of size {spec.size:g} covers no grid samples "
-                       f"(grid step {step:g})")
+        amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
+    return _unit_field(amp, geom.grid_extent, geom.wavelength, empty)
 
 
 def _lens_step(field: OpticalField, focal: float) -> OpticalField:
@@ -528,18 +553,23 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
         w = spec.size
         cx, cy = spec.center
         # Separable: each axis carries its Gaussian factor and its tilt phase.
-        amp = np.outer(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
-                       np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy))
-    else:
-        amp = _lens_step(make_aperture_field(spec, geom), f_f).samples
+        return _separable_field(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
+                                np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy),
+                                out_extent, geom.wavelength)
+    amp = _lens_step(make_aperture_field(spec, geom), f_f).samples
     return _unit_field(amp, out_extent, geom.wavelength)
 
 
 def detection_probability_map(field: OpticalField) -> IntensityMap:
-    """Pointwise squared modulus as a detection probability density."""
+    """Pointwise squared modulus as a detection probability density.
+
+    Refuses a field of zero power, or one whose power overflows."""
     intensity = field.intensity()
     p = float(np.sum(intensity) * field.step ** 2)
     if p <= 0:
         raise GeometryError("cannot form a probability map from a zero field")
+    if not np.isfinite(p):
+        raise GeometryError(
+            "cannot form a probability map from a field whose power overflows")
     intensity /= p
     return IntensityMap(intensity, field.extent)
