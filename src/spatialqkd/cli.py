@@ -214,7 +214,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     rows = []
     for radius in args.cell_radius:
         packed = build_packed_alphabet(envelope_radius, radius)
-        entropy = shannon_entropy(GaussianModel(packed).source())
+        entropy = shannon_entropy(
+            GaussianModel(packed, cfg.geometry, cfg.envelope_waist).source())
         rows.append({
             "cell_radius": radius,
             "alphabet_size": packed.d,

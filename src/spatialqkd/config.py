@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import count, number
 from .adversary import AdversarySpec
-from .alphabet import HexAlphabet, build_hex_alphabet, calibrate_envelope
+from .alphabet import HexAlphabet, build_hex_alphabet
 from .model import GaussianModel
 from .optics import Geometry
 from .protocol import NoiseModel
@@ -118,9 +118,9 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
 
     def resolve_envelope_waist(self, alphabet: HexAlphabet | None = None) -> float:
-        if self.envelope_waist is not None:
-            return float(self.envelope_waist)
-        return calibrate_envelope(alphabet or self.build_alphabet())
+        """The envelope waist the model uses: ``envelope_waist`` if set,
+        else the one calibrated for the alphabet."""
+        return self.build_model(alphabet).envelope_waist
 
     def build_alphabet(self) -> HexAlphabet:
         return build_hex_alphabet(self.alphabet.rings, self.alphabet.cell_radius)
@@ -128,7 +128,7 @@ class ExperimentConfig:
     def build_model(self, alphabet: HexAlphabet | None = None) -> GaussianModel:
         alphabet = alphabet or self.build_alphabet()
         return GaussianModel(alphabet=alphabet, geometry=self.geometry,
-                             envelope_waist=self.resolve_envelope_waist(alphabet))
+                             envelope_waist=self.envelope_waist)
 
     def to_dict(self) -> dict:
         data = {name: asdict(getattr(self, name)) for name in _SECTIONS}

@@ -78,8 +78,6 @@ def gaussian_polygon_integral(center, waist: float,
     of polygons are integrated in turn; no result depends on the slicing.
     """
     polys = np.asarray(polygons, dtype=np.float64)
-    if polys.ndim == 2:
-        polys = polys[None]
     sigma = waist / 2.0
     out = np.empty(polys.shape[0])
     step = max(1, _SLICE // (polys.shape[1] * _GL_NODES))
@@ -118,7 +116,8 @@ class GaussianModel:
     def __post_init__(self) -> None:
         if self.envelope_waist is None:
             self.envelope_waist = calibrate_envelope(self.alphabet)
-        number("envelope_waist", self.envelope_waist, "(0, inf)")
+        self.envelope_waist = number("envelope_waist", self.envelope_waist,
+                                     "(0, inf)")
 
     @property
     def aperture_waist(self) -> float:

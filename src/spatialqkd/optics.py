@@ -188,9 +188,6 @@ class ApertureSpec:
             number("center x", x, "(-inf, inf)", GeometryError),
             number("center y", y, "(-inf, inf)", GeometryError)))
 
-    def displaced(self, center) -> "ApertureSpec":
-        return replace(self, center=center)
-
 
 def grid_coords(n: int, extent: float) -> np.ndarray:
     """Sample coordinates of one axis: ``(i - n/2) * step`` for i in 0..n-1."""
@@ -230,14 +227,10 @@ class OpticalField:
 
     @property
     def power(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.step ** 2)
+        return _sum_sq(self.samples) * self.step ** 2
 
     def coords(self) -> np.ndarray:
         return grid_coords(self.n, self.extent)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.coords()
-        return np.meshgrid(c, c, indexing="ij")
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
@@ -254,27 +247,26 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
-                empty: str = "cannot normalize a zero-power field",
-                ) -> OpticalField:
-    """One field of ``amp`` at unit power; raises ``empty`` if it has none,
-    and refuses a power that overflows rather than scale the field to zero.
-
-    ``amp``, float64 or complex128, is handed over and scaled in place.  A
-    real ``amp`` is multiplied by ``1 / sqrt(power)`` before its one complex
-    cast: numpy divides a complex by a real through the reciprocal, so the
-    bits are those of dividing the cast."""
-    power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
+def _checked_power(power: float, empty: str,
+                   overflow: str = "cannot normalize a field whose power "
+                                   "overflows") -> float:
+    """``power`` if it is positive and finite.  Raises ``empty`` for a zero
+    power and ``overflow`` for one that overflows, rather than scale a
+    plane to zero."""
     if power <= 0:
         raise GeometryError(empty)
     if not np.isfinite(power):
-        raise GeometryError("cannot normalize a field whose power overflows")
-    norm = np.sqrt(power)
-    if np.iscomplexobj(amp):
-        amp /= norm
-    else:
-        amp *= 1.0 / norm
-        amp = amp.astype(np.complex128)
+        raise GeometryError(overflow)
+    return power
+
+
+def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
+                empty: str = "cannot normalize a zero-power field",
+                ) -> OpticalField:
+    """One field of the complex128 plane ``amp`` at unit power, which is
+    handed over and divided in place by ``sqrt(power)``."""
+    power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
+    amp /= np.sqrt(_checked_power(power, empty))
     return OpticalField(amp, extent, wavelength)
 
 
@@ -288,9 +280,8 @@ def _separable_field(gx: np.ndarray, gy: np.ndarray, extent: float,
     Its power factorises as ``sum|gx|**2 * sum|gy|**2 * step**2``, so the
     scale ``1 / sqrt(power)`` is applied to ``gx`` in 1-D.  The samples
     differ from normalising the 2-D product by a few ulp of the peak."""
-    power = _sum_sq(gx) * _sum_sq(gy) * (2.0 * extent / gx.size) ** 2
-    if power <= 0:
-        raise GeometryError(empty)
+    power = _checked_power(
+        _sum_sq(gx) * _sum_sq(gy) * (2.0 * extent / gx.size) ** 2, empty)
     amp = np.empty((gx.size, gy.size), dtype=np.complex128)
     np.multiply((gx * (1.0 / np.sqrt(power)))[:, None], gy, out=amp)
     return OpticalField(amp, extent, wavelength)
@@ -398,13 +389,14 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
         return _separable_field(np.exp(-(c - cx) ** 2 / spec.size ** 2),
                                 np.exp(-(c - cy) ** 2 / spec.size ** 2),
                                 geom.grid_extent, geom.wavelength, empty)
-    # A column and a row of coordinates, broadcast to the plane.
+    # A column and a row of coordinates, broadcast to the plane; the mask is
+    # cast once, to the complex plane that is then normalised in place.
     x, y = c[:, None], c[None, :]
     if spec.shape == "circular":
-        rsq = (x - cx) ** 2 + (y - cy) ** 2
-        amp = (rsq <= spec.size ** 2).astype(np.float64)
+        amp = ((x - cx) ** 2 + (y - cy) ** 2 <= spec.size ** 2).astype(
+            np.complex128)
     else:
-        amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.float64)
+        amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.complex128)
     return _unit_field(amp, geom.grid_extent, geom.wavelength, empty)
 
 
@@ -544,7 +536,7 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
     if config.matched:
         if config.alice == Basis.I:
             cx, cy = spec.center
-            spec = spec.displaced((-cx, -cy))
+            spec = replace(spec, center=(-cx, -cy))
         return make_aperture_field(spec, geom)
     f_f = geom.fourier_focal
     out_extent = geom.wavelength * f_f * geom.grid_samples / (4.0 * geom.grid_extent)
@@ -565,11 +557,8 @@ def detection_probability_map(field: OpticalField) -> IntensityMap:
 
     Refuses a field of zero power, or one whose power overflows."""
     intensity = field.intensity()
-    p = float(np.sum(intensity) * field.step ** 2)
-    if p <= 0:
-        raise GeometryError("cannot form a probability map from a zero field")
-    if not np.isfinite(p):
-        raise GeometryError(
-            "cannot form a probability map from a field whose power overflows")
-    intensity /= p
+    intensity /= _checked_power(
+        float(np.sum(intensity) * field.step ** 2),
+        "cannot form a probability map from a zero field",
+        "cannot form a probability map from a field whose power overflows")
     return IntensityMap(intensity, field.extent)

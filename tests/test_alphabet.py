@@ -176,6 +176,22 @@ class TestConstruction:
         assert alphabet37.inverse_index(0) == 0
         assert alphabet37.inverse_index(1) == 4
 
+    @pytest.mark.parametrize("centers, labels, message", [
+        (np.zeros((1, 3)), ("0",), "centers must have shape (d, 2), got (1, 3)"),
+        (np.array([[0.0, 0.0], [1e-3, 0.0]]), ("0",), "1 labels for 2 centers")],
+        ids=["three-columns", "one-label"])
+    def test_shape_refusals(self, centers, labels, message):
+        with pytest.raises(ValueError) as err:
+            HexAlphabet(200e-6, centers, labels)
+        assert str(err.value) == message
+
+    def test_inverse_index_without_opposite(self):
+        pair = HexAlphabet(200e-6, np.array([[0.0, 0.0], [1e-3, 0.0]]),
+                           ("0", "1"))
+        with pytest.raises(ValueError) as err:
+            pair.inverse_index(1)
+        assert str(err.value) == "alphabet has no cell opposite '1'"
+
     def test_index_of_unknown(self, alphabet37):
         with pytest.raises(KeyError):
             alphabet37.index_of("z9")

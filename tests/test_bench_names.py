@@ -7,6 +7,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from spatialqkd import protocol
 from spatialqkd.adversary import AdversarySpec
@@ -40,6 +41,19 @@ def test_workload_names_resolve():
     imap = gauss.intensity_grid(BasisConfig.from_label("FF"), 0)
     binned, residual = workloads.alphabet_mod.bin_probabilities(imap, alphabet)
     assert binned.shape == (alphabet.d,) and 0.0 <= residual < 1.0
+
+
+@pytest.mark.parametrize("envelope_waist", [None, 0.5e-3],
+                         ids=["calibrated", "configured"])
+def test_error_prediction_envelope(envelope_waist):
+    """The workloads read the envelope waist through
+    ``resolve_envelope_waist``, which must be the model's."""
+    cfg = ExperimentConfig(envelope_waist=envelope_waist)
+    alphabet = cfg.build_alphabet()
+    prediction = workloads.ErrorPrediction(cfg)
+    assert prediction.probs.shape == (alphabet.d,)
+    assert (cfg.resolve_envelope_waist(alphabet)
+            == cfg.build_model(alphabet).envelope_waist)
 
 
 def test_tracer_sees_every_session_layer():

@@ -166,6 +166,25 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("parse, message", [
+        (lambda: ExperimentConfig.from_dict({"session": 3}),
+         "section 'session' must be an object"),
+        (lambda: ExperimentConfig.from_json("[1]"),
+         "configuration must be a JSON object")],
+        ids=["section", "array"])
+    def test_shape_refusals(self, parse, message):
+        with pytest.raises(ConfigError) as err:
+            parse()
+        assert str(err.value) == message
+
+    def test_invalid_json_refused(self):
+        with pytest.raises(json.JSONDecodeError) as cause:
+            json.loads("{")
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json("{")
+        assert str(err.value) == (
+            f"configuration is not valid JSON: {cause.value}")
+
     def test_partial_dict_uses_defaults(self):
         cfg = ExperimentConfig.from_dict({"session": {"rounds": 42}})
         assert cfg.session.rounds == 42
@@ -454,21 +473,23 @@ class TestCliScaling:
 
     def test_same_entropy_as_security(self, tmp_path):
         """Both commands report the entropy of the distribution a session
-        draws from, bit for bit, for one 91-cell alphabet."""
-        path = tmp_path / "config.json"
-        ExperimentConfig(alphabet=AlphabetParams(rings=5, cell_radius=1e-4)
-                         ).save(path)
-        assert main(["scaling", "--config", str(path), "--out",
-                     str(tmp_path / "scale"), "--cell-radius", "1e-4"]) == 0
-        assert main(["security", "--config", str(path), "--out",
-                     str(tmp_path / "sec"), "--eta-points", "2"]) == 0
-        point, = json.loads(
-            (tmp_path / "scale" / "scaling.json").read_text())["points"]
-        sec = json.loads((tmp_path / "sec" / "security.json").read_text())
-        assert point["alphabet_size"] == sec["alphabet_size"] == 91
-        assert point["source_entropy_bits"] == sec["source_entropy_bits"]
-        # The cloning bound is a 37-character figure.
-        assert "cloning_attack_error_bound" not in sec
+        draws from, bit for bit, for one 91-cell alphabet, with the
+        calibrated envelope and with a configured one."""
+        for waist in (None, 0.5e-3):
+            path, out = tmp_path / f"{waist}.json", tmp_path / str(waist)
+            ExperimentConfig(alphabet=AlphabetParams(rings=5, cell_radius=1e-4),
+                             envelope_waist=waist).save(path)
+            assert main(["scaling", "--config", str(path), "--out",
+                         str(out / "scale"), "--cell-radius", "1e-4"]) == 0
+            assert main(["security", "--config", str(path), "--out",
+                         str(out / "sec"), "--eta-points", "2"]) == 0
+            point, = json.loads(
+                (out / "scale" / "scaling.json").read_text())["points"]
+            sec = json.loads((out / "sec" / "security.json").read_text())
+            assert point["alphabet_size"] == sec["alphabet_size"] == 91
+            assert point["source_entropy_bits"] == sec["source_entropy_bits"]
+            # The cloning bound is a 37-character figure.
+            assert "cloning_attack_error_bound" not in sec
 
     def test_negative_radius(self, tmp_path, small_config):
         code = main(["scaling", "--config", small_config,

@@ -114,6 +114,12 @@ class TestInfoAB:
     def test_degenerate_alphabet(self):
         assert info_ab(np.array([1.0]), 0.0) == 0.0
 
+    def test_certain_character_refused(self):
+        with pytest.raises(ValueError) as err:
+            info_ab([1.0, 0.0], 0.1)
+        assert str(err.value) == (
+            "degenerate distribution with a certain character")
+
     def test_error_bounds(self, probs37):
         with pytest.raises(ValueError):
             info_ab(probs37, 1.0)
