@@ -13,11 +13,11 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   ``probability_table()`` build time, hexagons integrated, and MB held;
 - ``export``: the CSV tables of the benchmark's ``cli_outputs`` run;
 - ``optics``, on the default 512² grid: milliseconds per ``propagate_chain``
-  over the FF, II and IF chains, per containment check and per Gaussian
-  plane (an aperture field and an IF closed form), the chains' and the
-  planes' ``tracemalloc`` peaks in complex planes, that of a circular
-  150 um aperture field (``sharp_peak_planes``, unbounded), and the
-  process's minor page faults per chain, from ``getrusage``.
+  over the FF, II and IF chains (the fastest of ``CHAIN_REPEATS`` runs),
+  per containment check and per Gaussian plane (an aperture field and an
+  IF closed form), the chains' and the planes' ``tracemalloc`` peaks in
+  complex planes, and the process's minor page faults per chain, from
+  ``getrusage``.
 
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
@@ -50,6 +50,9 @@ from spatialqkd.protocol import run_session
 RINGS = (3, 10, 20)
 POINTS = ROUNDS = 1 << 18
 REPEATS = 5
+#: A chain takes about 10 ms, so one stall of a shared host can push a
+#: best of 5 past its ceiling; the best of 15 rides over it.
+CHAIN_REPEATS = 15
 #: ``(lowest, highest)`` of each decode figure.  Of the other layers only
 #: the d = 1261 table build and the map writes are bounded, in ``rows``.
 DECODE_BOUNDS = {"decode_points_per_s": (1e6, np.inf), "tree_share": (0, 0.05),
@@ -61,9 +64,9 @@ OPTICS_BOUNDS = {**{f"chain_ms_{label}": (0, 100.0) for label in CHAINS},
                  "field_ms_crossed": (0, 20.0)}
 
 
-def best_time(run) -> float:
-    """The fastest of ``REPEATS`` calls of ``run``, in seconds."""
-    return min(timeit.repeat(run, number=1, repeat=REPEATS))
+def best_time(run, repeat: int = REPEATS) -> float:
+    """The fastest of ``repeat`` calls of ``run``, in seconds."""
+    return min(timeit.repeat(run, number=1, repeat=repeat))
 
 
 def traced_peak(run):
@@ -154,8 +157,8 @@ def optics_row() -> dict:
               for label in CHAINS]
     row = {"layer": "optics", "n": geom.grid_samples}
     for label, chain in zip(CHAINS, chains):
-        row[f"chain_ms_{label}"] = round(
-            1e3 * best_time(lambda: propagate_chain(field, chain)), 3)
+        row[f"chain_ms_{label}"] = round(1e3 * best_time(
+            lambda: propagate_chain(field, chain), CHAIN_REPEATS), 3)
     row["check_ms"] = round(
         1e3 * best_time(lambda: _check_contained(field, "here")), 3)
     crossed = BasisConfig.from_label("IF")
@@ -169,9 +172,6 @@ def optics_row() -> dict:
         for chain in chains)
     row["field_peak_planes"] = max(round(traced_peak(build)[1] / plane_mb, 3)
                                    for build in planes.values())
-    sharp = ApertureSpec("circular", 150e-6)
-    row["sharp_peak_planes"] = round(traced_peak(
-        lambda: make_aperture_field(sharp, geom))[1] / plane_mb, 3)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for chain in chains:
         for _ in range(REPEATS):

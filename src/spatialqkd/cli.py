@@ -10,7 +10,7 @@ Subcommands:
 All commands accept ``--config`` with a JSON experiment description and
 ``--out`` for the output directory; invalid configurations, unknown
 characters and runs too large to allocate exit with status 2 and a
-diagnostic on stderr.
+diagnostic on stderr, and a stdout closed early (``| head``) with status 1.
 """
 
 from __future__ import annotations
@@ -243,7 +243,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout was closed early: the exit flush goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ class SessionParams:
     rounds: int = 100_000
     seed: int = 1
     sample_fraction: float = 0.1
-    source: str = "model"
     keep_log: bool = True
 
     def __post_init__(self) -> None:
@@ -62,9 +61,6 @@ class SessionParams:
         if type(self.keep_log) is not bool:
             raise ConfigError(f"keep_log must be a boolean, "
                               f"got {self.keep_log!r}")
-        if self.source not in ("model", "uniform"):
-            raise ConfigError(f"source must be 'model' or 'uniform', "
-                              f"got {self.source!r}")
 
 
 _SECTIONS = {

@@ -150,34 +150,20 @@ class Geometry:
         """Focal length of the single-lens arm, twice the imaging focal."""
         return 2.0 * self.imaging_focal
 
-    @property
-    def conjugate_waist(self) -> float:
-        """Waist of the aperture mode after one pass through the Fourier arm.
-
-        A Gaussian of waist ``w`` maps to one of waist ``2 f_F / (k w)``
-        where ``f_F`` is the Fourier-arm focal length.
-        """
-        return 2.0 * self.fourier_focal / (self.wavenumber * self.aperture_waist)
-
 
 @dataclass(frozen=True)
 class ApertureSpec:
-    """Source aperture: shape, characteristic size and transverse offset.
-
-    ``size`` is the Gaussian waist for shape ``gaussian``, the radius for
-    ``circular`` and the center-to-vertex distance for ``hexagonal``.
-    """
+    """Source aperture: a Gaussian mode of waist ``size`` displaced to
+    ``center``.  ``shape`` must be ``"gaussian"``."""
 
     shape: str = "gaussian"
     size: float = 100e-6
     center: tuple[float, float] = (0.0, 0.0)
 
-    _SHAPES = ("gaussian", "circular", "hexagonal")
-
     def __post_init__(self) -> None:
-        if self.shape not in self._SHAPES:
+        if self.shape != "gaussian":
             raise GeometryError(
-                f"aperture shape must be one of {self._SHAPES}, got {self.shape!r}")
+                f"aperture shape must be 'gaussian', got {self.shape!r}")
         number("size", self.size, "(0, inf)", GeometryError)
         try:
             x, y = self.center
@@ -235,9 +221,6 @@ class OpticalField:
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
 
-    def normalized(self) -> "OpticalField":
-        return _unit_field(self.samples.copy(), self.extent, self.wavelength)
-
 
 def _sum_sq(a: np.ndarray) -> float:
     """``sum(|a|**2)`` by one ``vdot``, which copies ``a`` only when it is
@@ -260,22 +243,12 @@ def _checked_power(power: float, empty: str,
     return power
 
 
-def _unit_field(amp: np.ndarray, extent: float, wavelength: float,
-                empty: str = "cannot normalize a zero-power field",
-                ) -> OpticalField:
-    """One field of the complex128 plane ``amp`` at unit power, which is
-    handed over and divided in place by ``sqrt(power)``."""
-    power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
-    amp /= np.sqrt(_checked_power(power, empty))
-    return OpticalField(amp, extent, wavelength)
-
-
 def _separable_field(gx: np.ndarray, gy: np.ndarray, extent: float,
                      wavelength: float,
                      empty: str = "cannot normalize a zero-power field",
                      ) -> OpticalField:
-    """The field ``outer(gx, gy)`` at unit power, as :func:`_unit_field`
-    would give it, written in one pass into a plane allocated once.
+    """The field ``outer(gx, gy)`` at unit power, written in one pass into
+    a plane allocated once.
 
     Its power factorises as ``sum|gx|**2 * sum|gy|**2 * step**2``, so the
     scale ``1 / sqrt(power)`` is applied to ``gx`` in 1-D.  The samples
@@ -384,20 +357,10 @@ def make_aperture_field(spec: ApertureSpec, geom: Geometry) -> OpticalField:
     step = 2.0 * geom.grid_extent / geom.grid_samples
     empty = (f"aperture of size {spec.size:g} covers no grid samples "
              f"(grid step {step:g})")
-    if spec.shape == "gaussian":
-        # Separable: the outer product of one 1-D exponential per axis.
-        return _separable_field(np.exp(-(c - cx) ** 2 / spec.size ** 2),
-                                np.exp(-(c - cy) ** 2 / spec.size ** 2),
-                                geom.grid_extent, geom.wavelength, empty)
-    # A column and a row of coordinates, broadcast to the plane; the mask is
-    # cast once, to the complex plane that is then normalised in place.
-    x, y = c[:, None], c[None, :]
-    if spec.shape == "circular":
-        amp = ((x - cx) ** 2 + (y - cy) ** 2 <= spec.size ** 2).astype(
-            np.complex128)
-    else:
-        amp = hexagon_mask(x, y, (cx, cy), spec.size).astype(np.complex128)
-    return _unit_field(amp, geom.grid_extent, geom.wavelength, empty)
+    # Separable: the outer product of one 1-D exponential per axis.
+    return _separable_field(np.exp(-(c - cx) ** 2 / spec.size ** 2),
+                            np.exp(-(c - cy) ** 2 / spec.size ** 2),
+                            geom.grid_extent, geom.wavelength, empty)
 
 
 def _lens_step(field: OpticalField, focal: float) -> OpticalField:
@@ -526,9 +489,8 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
     Matched configurations reproduce the aperture mode: upright for two
     Fourier arms, point-inverted for two imaging arms.  Crossed
     configurations give the aperture's Fourier transform evaluated at
-    ``q = k rho / f_F``, with ``f_F`` the Fourier-arm focal length; for a
-    Gaussian aperture this is evaluated in closed form (including the tilt
-    phase from the displacement), other shapes fall back on one lens step.
+    ``q = k rho / f_F``, with ``f_F`` the Fourier-arm focal length, here
+    in closed form (including the tilt phase from the displacement).
 
     Returns a unit-power field on the same grid that ``propagate_chain`` over
     :func:`full_chain` would produce.
@@ -540,16 +502,13 @@ def analytic_amplitude(config: BasisConfig, spec: ApertureSpec,
         return make_aperture_field(spec, geom)
     f_f = geom.fourier_focal
     out_extent = geom.wavelength * f_f * geom.grid_samples / (4.0 * geom.grid_extent)
-    if spec.shape == "gaussian":
-        q = geom.wavenumber * grid_coords(geom.grid_samples, out_extent) / f_f
-        w = spec.size
-        cx, cy = spec.center
-        # Separable: each axis carries its Gaussian factor and its tilt phase.
-        return _separable_field(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
-                                np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy),
-                                out_extent, geom.wavelength)
-    amp = _lens_step(make_aperture_field(spec, geom), f_f).samples
-    return _unit_field(amp, out_extent, geom.wavelength)
+    q = geom.wavenumber * grid_coords(geom.grid_samples, out_extent) / f_f
+    w = spec.size
+    cx, cy = spec.center
+    # Separable: each axis carries its Gaussian factor and its tilt phase.
+    return _separable_field(np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cx),
+                            np.exp(-(w ** 2 / 4.0) * q ** 2 - 1j * q * cy),
+                            out_extent, geom.wavelength)
 
 
 def detection_probability_map(field: OpticalField) -> IntensityMap:

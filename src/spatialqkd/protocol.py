@@ -44,7 +44,6 @@ from ._checks import distribution, number
 from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
 from .adversary import _BASIS_FIELDS, attack_batch, eve_information_estimate
 from .model import GaussianModel
-from .optics import BasisConfig
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -244,12 +243,6 @@ class ErrorEstimate:
     sample_size: int
     low_confidence: bool
 
-    def rate(self, config, label: str) -> float:
-        key = config.label if isinstance(config, BasisConfig) else str(config)
-        if label not in self.labels:
-            raise KeyError(f"unknown character {label!r}")
-        return float(self.per_char[key][self.labels.index(label)])
-
     def as_dict(self) -> dict:
         def clean(x: float) -> float | None:
             return None if np.isnan(x) else float(x)
@@ -448,12 +441,8 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
     """
     alphabet = config.build_alphabet()
     model = config.build_model(alphabet)
-    if config.session.source == "uniform":
-        probs = np.full(alphabet.d, 1.0 / alphabet.d)
-    else:
-        probs = model.source()
     # The character draw trusts P, so it is checked here, before any draw.
-    probs = distribution(probs)
+    probs = distribution(model.source())
     adv = config.adversary
     n = config.session.rounds
     seed = config.session.seed

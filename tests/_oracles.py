@@ -217,17 +217,6 @@ def crossed_gaussian_2d(coords: np.ndarray, k: float, focal: float,
             * np.exp(-1j * (qx * center[0] + qy * center[1])))
 
 
-def airy_amplitude_2d(coords: np.ndarray, k: float, focal: float,
-                      radius: float) -> np.ndarray:
-    """Unnormalized crossed-basis modulus of a circular aperture of given
-    radius, the Airy pattern ``|2 J1(q a) / (q a)|`` at ``q = k rho / focal``,
-    from the full 2-D meshgrid."""
-    x, y = np.meshgrid(coords, coords, indexing="ij")
-    qa = k * np.hypot(x, y) / focal * radius
-    safe = np.where(qa > 0, qa, 1.0)
-    return np.abs(np.where(qa > 0, 2.0 * special.j1(safe) / safe, 1.0))
-
-
 def lens_by_lens(field, focal_lengths):
     """A field propagated through confocal lenses one transform per lens:
     the centered FFT scaled by ``step**2 / (lam * f)`` onto a grid of
@@ -243,16 +232,15 @@ def lens_by_lens(field, focal_lengths):
     return out
 
 
-def unit_field_reference(amp, extent, wavelength,
-                         empty="cannot normalize a zero-power field"):
+def unit_field_reference(amp, extent, wavelength):
     """``amp`` at unit power: a complex copy, ``|amp|**2`` summed, and one
-    division into a new array.  A stand-in for ``optics._unit_field``."""
+    division into a new array."""
     from spatialqkd.optics import GeometryError, OpticalField
 
     amp = np.asarray(amp, dtype=np.complex128)
     power = float(np.sum(np.abs(amp) ** 2) * (2.0 * extent / amp.shape[0]) ** 2)
     if power <= 0:
-        raise GeometryError(empty)
+        raise GeometryError("cannot normalize a zero-power field")
     return OpticalField(amp / np.sqrt(power), extent, wavelength)
 
 
@@ -394,8 +382,7 @@ def session_reference(config):
     alphabet = config.build_alphabet()
     model = config.build_model(alphabet)
     d, labels, centers = alphabet.d, alphabet.labels, alphabet.centers.tolist()
-    probs = (np.full(d, 1.0 / d) if config.session.source == "uniform"
-             else model.source())
+    probs = model.source()
     adv, noise = config.adversary, config.noise
     n, seed = config.session.rounds, config.session.seed
     sig_ap, sig_env = model.aperture_waist / 2.0, model.envelope_waist / 2.0

@@ -106,18 +106,24 @@ def test_criterion_04_intercept_resend_error(model37, probs37):
     expected = float(n_all @ rates / n_all.sum())
     sigma = np.sqrt(expected * (1 - expected) / est.sample_size)
     avg_dev = abs(est.average - expected) / sigma
-    worst_z = 0.0
+    # The characters are judged together, as criterion 3 judges its rows:
+    # with 74 of them, "every one within 3 sigma" fails about 18 % of runs
+    # of a correct engine.
+    z2 = []
     for key in ("FF", "II"):
         n = est.counts[key]
-        z = np.abs(est.per_char[key] - rates) / np.sqrt(
+        z = (est.per_char[key] - rates) / np.sqrt(
             rates * (1 - rates) / np.maximum(n, 1))
-        worst_z = max(worst_z, float(np.max(z[n > 0])))
-    mc_ok = avg_dev <= 3.0 and worst_z <= 3.0
+        z2.extend(z[n > 0] ** 2)
+    chi2 = float(np.sum(z2))
+    p_value = float(sps.chi2.sf(chi2, len(z2)))
+    mc_ok = avg_dev <= 3.0 and p_value > 0.01
     _report(4, analytic_ok and mc_ok,
             f"analytic errors span [{lo:.4f}, {hi:.4f}] avg {avg:.4f}; "
             f"Monte Carlo avg {est.average:.4f} at {avg_dev:.2f} sigma from "
-            f"the detection-weighted {expected:.4f}, worst per-char "
-            f"{worst_z:.2f} sigma (want <= 3)")
+            f"the detection-weighted {expected:.4f} (want <= 3), per-char "
+            f"chi2 {chi2:.1f} on {len(z2)} dof, p = {p_value:.3f} "
+            f"(want > 0.01)")
 
 
 def test_criterion_05_eve_information(probs37):

@@ -55,8 +55,7 @@ class TestConfigValidation:
                     else {section: {key: value}}
                 with pytest.raises(ConfigError, match=match):
                     ExperimentConfig.from_dict(data)
-        for flags in ({"seed": False}, {"keep_log": 0}, {"keep_log": "yes"},
-                      {"source": "laplace"}):
+        for flags in ({"seed": False}, {"keep_log": 0}, {"keep_log": "yes"}):
             with pytest.raises(ConfigError):
                 SessionParams(**flags)
         for text, key in (('{"session": {"rounds": true}}', "rounds"),
@@ -159,6 +158,13 @@ class TestConfigSerialization:
         data["geometry"]["prism_angle"] = 0.5
         with pytest.raises(ConfigError, match="prism_angle"):
             ExperimentConfig.from_dict(data)
+
+    def test_source_key_rejected(self):
+        """The characters always follow the model's P: a ``source`` key is
+        as unknown as any other."""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"session": {"source": "model"}})
+        assert str(err.value) == "unknown keys in section 'session': source"
 
     def test_bad_value_wrapped(self):
         data = ExperimentConfig().to_dict()
@@ -507,3 +513,27 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert res.returncode == 0
         assert "characters" in res.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_pipe_is_quiet(self, tmp_path, unbuffered):
+        """A reader that has closed its end of the pipe, as ``| head -1``
+        does after one line: the first write or the final flush meets the
+        broken pipe, and the command ends with status 1 and nothing on
+        stderr.  The read end is closed before the command starts, so that
+        no timing decides which write fails."""
+        import os
+        import subprocess
+        import sys
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "spatialqkd", "security",
+                 "--eta-points", "3", "--out", str(tmp_path / "o")],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert res.stderr == ""
+        assert res.returncode == 1

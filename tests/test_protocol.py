@@ -191,13 +191,8 @@ class TestEstimate:
         assert est.sample_size == 200
         assert not keep.any()
         assert est.average == pytest.approx(0.1)
-        assert est.rate("FF", "0") == pytest.approx(0.1)
-        assert np.isnan(est.rate("II", "0"))
-
-    def test_rate_of_unknown_character(self):
-        est, _ = self.estimate(200, 10, 1.0)
-        with pytest.raises(KeyError, match="unknown character 'Z'"):
-            est.rate("FF", "Z")
+        assert est.per_char["FF"][0] == pytest.approx(0.1)
+        assert np.isnan(est.per_char["II"][0])
 
     def test_partial_sample_disjoint(self):
         est, keep = self.estimate(400, 4, 0.5, seed=12)
@@ -308,14 +303,6 @@ class TestRunSession:
         for field in ("alice_basis", "bob_basis", "sent", "received"):
             assert np.array_equal(getattr(short.log, field),
                                   getattr(long.log, field)[:STREAM_CHUNK])
-
-    def test_uniform_source_keeps_everything(self):
-        res = run_session(make_config(rounds=30_000, seed=19,
-                                      source="uniform"))
-        assert res.stats.key_expected_keep == pytest.approx(1.0)
-        assert res.stats.key_keep_fraction == pytest.approx(1.0)
-        hist = np.array(list(res.stats.sent_histogram.values()))
-        assert sps.chisquare(hist)[1] > 0.001
 
     def test_full_interception(self):
         res = run_session(make_config(
