@@ -11,7 +11,9 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   set-up included, with no attack and under ``suppress_on_evidence``;
 - ``table``, at the same sizes (``--large`` adds d = 4921, about 0.4 GB):
   ``probability_table()`` build time, hexagons integrated, and MB held;
-- ``export``: the CSV tables of the benchmark's ``cli_outputs`` run;
+- ``export``: the CSV tables of the benchmark's ``cli_outputs`` run, with
+  each file's ``bytes`` and, for a map, its ``zero_blocks``: the
+  ``BLOCK``-row blocks of +0.0 that the writer fills with one constant;
 - ``optics``, on the default 512² grid: milliseconds per ``propagate_chain``
   over the FF, II and IF chains (the fastest of ``CHAIN_REPEATS`` runs),
   per containment check and per Gaussian plane (an aperture field and an
@@ -38,6 +40,7 @@ import tracemalloc
 import numpy as np
 
 from spatialqkd import model
+from spatialqkd._csv import all_plus_zero, row_slices
 from spatialqkd.adversary import eve_log_to_csv
 from spatialqkd.alphabet import _SLICE, build_hex_alphabet
 from spatialqkd.config import AlphabetParams, ExperimentConfig
@@ -130,20 +133,27 @@ def table_row(rings: int) -> dict:
 
 
 def export_tables():
-    """``(name, rows, write(path))``: the FF and IF maps of character 7 and
-    the logs of 50 000 intercept-resend rounds at eta 1 and seed 1."""
+    """``(fields, write(path))``, ``fields`` naming the table and counting
+    its rows: the FF and IF maps of character 7 and the logs of 50 000
+    intercept-resend rounds at eta 1 and seed 1."""
     cfg = ExperimentConfig().override(rounds=50_000, seed=1,
                                       strategy="intercept_resend", eta=1.0)
     gauss, char = cfg.build_model(), cfg.build_alphabet().index_of("7")
     for label in ("FF", "IF"):
         imap = gauss.intensity_grid(BasisConfig.from_label(label), char)
-        yield f"map_{label}_7.csv", imap.n ** 2, imap.to_csv
+        flat = imap.values.ravel()
+        zero_blocks = sum(all_plus_zero(flat[s])
+                          for s in row_slices(flat.size))
+        yield {"table": f"map_{label}_7.csv", "rows": flat.size,
+               "zero_blocks": zero_blocks}, imap.to_csv
     log = run_session(cfg).log
-    yield "rounds.csv", len(log), log.to_csv
+    yield {"table": "rounds.csv", "rows": len(log)}, log.to_csv
     hit = np.flatnonzero(log.attacked)
-    yield "eve_records.csv", hit.size, lambda path: eve_log_to_csv(
-        path, hit, log.eve_basis[hit], log.eve_measured[hit],
-        log.eve_dropped[hit], log.labels)
+    # Gathered here, so that the row times and traces the writer alone.
+    columns = (hit, log.eve_basis[hit], log.eve_measured[hit],
+               log.eve_dropped[hit], log.labels)
+    yield {"table": "eve_records.csv", "rows": hit.size}, \
+        lambda path: eve_log_to_csv(path, *columns)
 
 
 def optics_row() -> dict:
@@ -188,14 +198,15 @@ def rows(large: bool):
     for rings in RINGS + ((40,) if large else ()):
         yield table_row(rings), {"build_s": (0, 5.0)} if rings == 20 else {}
     with tempfile.TemporaryDirectory() as directory:
-        for name, count, write in export_tables():
-            path = os.path.join(directory, name)
+        for fields, write in export_tables():
+            path = os.path.join(directory, fields["table"])
             write_s = best_time(lambda: write(path))
-            yield {"layer": "export", "table": name, "rows": count,
-                   "write_s": round(write_s, 6),
-                   "rows_per_s": round(count / write_s),
+            yield {"layer": "export", **fields, "write_s": round(write_s, 6),
+                   "rows_per_s": round(fields["rows"] / write_s),
+                   "bytes": os.path.getsize(path),
                    "peak_mb": traced_peak(lambda: write(path))[1]}, (
-                {"write_s": (0, 1.0)} if name.startswith("map_") else {})
+                {"write_s": (0, 1.0)} if fields["table"].startswith("map_")
+                else {})
     yield optics_row(), OPTICS_BOUNDS
 
 

@@ -10,6 +10,10 @@ with one ``write`` once the NULs are dropped: no Python object per field.
 
 * ``%d`` takes integer or boolean columns, ``%s`` ``S`` or ``str`` columns
   such as :func:`code_fields` (-1 is the empty field) or :data:`FLAG_FIELDS`.
+  A table that ``%s`` fields are gathered from is built by
+  :func:`text_table` with an item size of 1, 2, 4, 8, 16, ... bytes, which
+  numpy gathers as whole words; its NUL padding is dropped with the rest.
+  Callers read columns of contiguous rows as :func:`row_slices` slices.
 * ``%.<p>e`` rounds ``y = |x| * 10**k`` to the integer ``D`` of the printed
   digits, with ``k = p - E`` and the decimal exponent ``E`` from ``log10``.
   ``y`` is ``frexp(|x|)[0]`` times the correctly rounded significand of
@@ -24,9 +28,15 @@ with one ``write`` once the NULs are dropped: no Python object per field.
   ``floor(D / 10**4)`` exact in float64: the quotient is off by under
   ``2**-3 / 10**4``, less than a non-integer quotient's distance to the next
   integer.  The exponent text is one lookup in :data:`_EXPONENTS`.
+* A block's ``%.<p>e`` column whose every value is +0.0
+  (:func:`all_plus_zero`: no sign, no NaN) is filled with the bytes of
+  ``%.<p>e % 0.0`` and skips the passes above.  In a matched map ``exp``
+  underflows to +0.0 in most pixels, and about half of its blocks are
+  wholly zero.
 * ``%.<p>f`` fields, only in the few rows of ``security.csv``, all go to ``%``.
 
-A 512² map takes 0.03-0.05 s to write (2-core Xeon), with a 0.47 MB peak.
+``scripts/layer_scaling.py`` writes a 512² matched map in about 0.02 s and a
+crossed one in about 0.03 s (2-core Xeon), with a 0.39 MB peak.
 """
 
 from __future__ import annotations
@@ -65,15 +75,33 @@ _K0 = 310
 _SIG, _EXP = _pow10_table(-_K0, 341)
 
 
+def row_slices(n: int):
+    """Slices of ``range(n)``, at most :data:`BLOCK` rows each."""
+    return (slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+
+
 def row_blocks(n: int):
     """Row indices of ``range(n)``, at most :data:`BLOCK` at a time."""
-    return (np.arange(start, min(start + BLOCK, n))
-            for start in range(0, n, BLOCK))
+    return (np.arange(s.start, s.stop) for s in row_slices(n))
+
+
+def text_table(texts) -> np.ndarray:
+    """``texts`` as ``S`` fields of 1, 2, 4, 8, 16, ... bytes, NUL-padded:
+    numpy gathers those item sizes as whole words, about five times faster
+    than an ``S3``, and :func:`write_csv` drops the padding."""
+    table = np.array(list(texts), dtype="S")
+    return table.astype(f"S{1 << (table.itemsize - 1).bit_length()}")
+
+
+def all_plus_zero(x: np.ndarray) -> bool:
+    """Whether every value of the contiguous float64 column ``x`` is +0.0,
+    all 64 bits zero: no -0.0 and no NaN."""
+    return not x.view(np.uint64).any()
 
 
 def code_fields(names) -> np.ndarray:
     """Field per code: ``names[code]``, and the empty field at code -1."""
-    return np.array([*names, ""], dtype="S")
+    return text_table([*names, ""])
 
 
 def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
@@ -112,6 +140,9 @@ def _text(col: np.ndarray):
 
 
 def _floats(x: np.ndarray, conversion: str):
+    if conversion[-1] == "e" and all_plus_zero(x):
+        zero = np.frombuffer((conversion % 0.0).encode("ascii"), np.uint8)
+        return zero.size, partial(np.copyto, src=zero)
     p = int(conversion[2:-1])
     width, unsure = 0, np.ones(x.size, bool)
     if conversion[-1] == "e":
@@ -162,7 +193,7 @@ def _field(conversion: str, col, j: int):
     if conversion == "%d" and np.can_cast(col.dtype, np.int64):
         return _integers(col)
     if conversion[-1] in "ef" and np.can_cast(col.dtype, np.float64):
-        return _floats(col.astype(np.float64), conversion)
+        return _floats(np.ascontiguousarray(col, np.float64), conversion)
     raise ValueError(f"column {j} ({conversion}) cannot hold {col.dtype} values")
 
 

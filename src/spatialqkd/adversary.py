@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._checks import number
-from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
+from ._csv import FLAG_FIELDS, code_fields, row_slices, write_csv
 from .optics import BASIS_BY_CODE
 
 if TYPE_CHECKING:
@@ -162,6 +162,6 @@ def eve_log_to_csv(path, round_index: np.ndarray, basis_code: np.ndarray,
     chars = code_fields(labels)
     write_csv(path, ("round", "basis", "measured_char", "dropped"),
               "%d,%s,%s,%s\n",
-              ((round_index[b], _BASIS_FIELDS[basis_code[b]],
-                chars[measured_idx[b]], FLAG_FIELDS[dropped[b].view(np.int8)])
-               for b in row_blocks(round_index.shape[0])))
+              ((round_index[s], _BASIS_FIELDS[basis_code[s]],
+                chars[measured_idx[s]], FLAG_FIELDS[dropped[s].view(np.int8)])
+               for s in row_slices(round_index.shape[0])))

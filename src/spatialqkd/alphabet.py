@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._checks import count, number
-from ._csv import row_blocks, write_csv
+from ._csv import row_blocks, text_table, write_csv
 from .optics import (ALL_CONFIGS, BasisConfig, IntensityMap, grid_coords,
                      hexagon_mask)
 
@@ -474,8 +474,8 @@ class ProbabilityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Rows ``config,sent_char,cell_char,probability``; the row with
         cell char ``(residual)`` holds the outside-all-cells probability."""
-        cells = np.array(self.cell_labels + (_RESIDUAL,), dtype="S")
-        sources = np.array(self.source_labels, dtype="S")
+        cells = text_table(self.cell_labels + (_RESIDUAL,))
+        sources = text_table(self.source_labels)
         nc = len(self.cell_labels)
 
         # Row k of a configuration: source k // (nc + 1), then its cells and

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import count, number
-from ._csv import BLOCK, row_blocks, write_csv
+from ._csv import BLOCK, row_slices, text_table, write_csv
 
 __all__ = [
     "Basis",
@@ -292,20 +292,23 @@ class IntensityMap:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write rows ``row,col,value`` where row indexes x and col indexes y."""
         n, flat = self.n, self.values.ravel()
-        # The text of each index 0 .. n - 1, gathered rather than rendered.
-        index = np.array([b"%d" % i for i in range(n)])
-        # Rows and columns of pixels 0 .. BLOCK + n - 1; a block starting at
-        # row r0, column c0 reads them from c0 on and adds r0 to the rows.
-        rows, cols = np.divmod(np.arange(BLOCK + n), n)
-        cols = index[cols]
+        # The text of each index 0 .. n - 1, gathered rather than rendered,
+        # and the columns of pixels 0 .. BLOCK + n - 1: a block starting at
+        # column c0 reads them from c0 on.
+        index = text_table(b"%d" % i for i in range(n))
+        cols = index[np.arange(BLOCK + n) % n]
 
-        def fields(k: np.ndarray):
-            r0, c0 = divmod(int(k[0]), n)
-            return (index[rows[c0:c0 + k.size] + r0], cols[c0:c0 + k.size],
-                    flat[k])
+        def fields(s: slice):
+            r0, c0 = divmod(s.start, n)
+            r1 = -(-s.stop // n)  # one past the block's last row
+            counts = np.full(r1 - r0, n)  # its pixels in each of its rows
+            counts[0] -= c0
+            counts[-1] -= r1 * n - s.stop
+            return (np.repeat(index[r0:r1], counts),
+                    cols[c0:c0 + s.stop - s.start], flat[s])
 
         write_csv(path, ("row", "col", "value"), "%s,%s,%.12e\n",
-                  (fields(k) for k in row_blocks(flat.size)))
+                  (fields(s) for s in row_slices(flat.size)))
 
     def to_pgm(self, path: str | os.PathLike) -> None:
         """Write an 8-bit binary PGM image, linearly scaled to the map peak."""

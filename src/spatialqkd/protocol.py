@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._checks import distribution, number
-from ._csv import FLAG_FIELDS, code_fields, row_blocks, write_csv
+from ._csv import FLAG_FIELDS, code_fields, row_slices, write_csv
 from .adversary import _BASIS_FIELDS, attack_batch, eve_information_estimate
 from .model import GaussianModel
 
@@ -126,20 +126,21 @@ class SessionLog:
     def to_csv(self, path) -> None:
         chars = code_fields(self.labels)
 
-        def fields(b: np.ndarray):
-            hit = self.attacked[b]
-            return (b, _BASIS_FIELDS[self.alice_basis[b]],
-                    _BASIS_FIELDS[self.bob_basis[b]],
-                    chars[self.sent[b]], chars[self.received[b]],
+        def fields(s: slice):
+            hit = self.attacked[s]
+            return (np.arange(s.start, s.stop),
+                    _BASIS_FIELDS[self.alice_basis[s]],
+                    _BASIS_FIELDS[self.bob_basis[s]],
+                    chars[self.sent[s]], chars[self.received[s]],
                     FLAG_FIELDS[hit.view(np.int8)],
-                    _BASIS_FIELDS[np.where(hit, self.eve_basis[b], -1)],
-                    chars[np.where(hit, self.eve_measured[b], -1)],
-                    FLAG_FIELDS[self.eve_dropped[b].view(np.int8)])
+                    _BASIS_FIELDS[np.where(hit, self.eve_basis[s], -1)],
+                    chars[np.where(hit, self.eve_measured[s], -1)],
+                    FLAG_FIELDS[self.eve_dropped[s].view(np.int8)])
 
         write_csv(path, ("round", "alice_basis", "bob_basis", "sent",
                          "received", "attacked", "eve_basis", "eve_measured",
                          "eve_dropped"), "%d,%s,%s,%s,%s,%s,%s,%s,%s\n",
-                  (fields(b) for b in row_blocks(len(self))))
+                  (fields(s) for s in row_slices(len(self))))
 
 
 class _CharSampler:

@@ -227,3 +227,95 @@ def test_map_export_memory_stays_blockwise(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", range(16))
+def test_all_zero_block_is_one_constant(tmp_path, p):
+    """A block of +0.0 is filled with ``%.<p>e % 0.0``, whose width (no
+    spare exponent column) only the constant path gives."""
+    conversion = f"%.{p}e"
+    assert _csv._floats(np.zeros(5), conversion)[0] == len(conversion % 0.0)
+    got, expected = _rendered(tmp_path / "t.csv", conversion + "\n", np.zeros(70))
+    assert got == expected
+
+
+@pytest.mark.parametrize("values", [
+    [0.0] * 40 + [-0.0] + [0.0] * 9,  # one sign bit: the full path
+    [-0.0] * 50,
+    [0.0] * 20 + [np.nan] + [0.0] * 29,
+], ids=["one-negative-zero", "all-negative-zero", "one-nan"])
+def test_zero_blocks_with_a_sign_or_nan_take_the_full_path(tmp_path, values):
+    values = np.array(values)
+    got, expected = _rendered(tmp_path / "t.csv", "%.12e\n", values)
+    assert got == expected
+    assert _csv._floats(values, "%.12e")[0] > len("%.12e" % 0.0)
+    if np.signbit(values).any():
+        assert "-0.000000000000e+00\n" in got
+
+
+def test_zero_run_across_a_block_boundary(tmp_path):
+    """Zeros from inside block 0 through all of block 1 into block 2: one
+    block takes the constant, the two it borders the full path."""
+    values = np.random.default_rng(31).random(3 * BLOCK)
+    values[BLOCK - 100:2 * BLOCK + 50] = 0.0
+    path = tmp_path / "t.csv"
+    write_csv(path, ("i", "x"), "%d,%.12e\n",
+              ((b, values[b]) for b in row_blocks(values.size)))
+    expected = "".join("%d,%.12e\n" % row for row in enumerate(values.tolist()))
+    got = path.read_text("ascii").split("\n", 1)[1]
+    assert _first_difference(got, expected) is None
+    assert got == expected
+
+
+def test_matched_map_with_zero_blocks_matches_percent(tmp_path):
+    """The 512² FF map of character 7, most of whose blocks underflow to
+    +0.0, against a ``%`` pass over its pixels."""
+    from spatialqkd.config import ExperimentConfig
+    from spatialqkd.optics import BasisConfig
+    cfg = ExperimentConfig()
+    imap = cfg.build_model().intensity_grid(
+        BasisConfig.from_label("FF"), cfg.build_alphabet().index_of("7"))
+    flat = imap.values.ravel()
+    zero_blocks = sum(_csv.all_plus_zero(flat[s])
+                      for s in _csv.row_slices(flat.size))
+    assert 0 < zero_blocks < flat.size // BLOCK
+    imap.to_csv(tmp_path / "map.csv")
+    n = imap.n
+    expected = "row,col,value\n" + "".join(
+        "%d,%d,%.12e\n" % (k // n, k % n, v) for k, v in enumerate(flat.tolist()))
+    got = (tmp_path / "map.csv").read_text("ascii")
+    assert _first_difference(got, expected) is None
+    assert got == expected
+
+
+@pytest.mark.parametrize("longest", range(1, 11))
+def test_padded_text_tables_match_percent(tmp_path, longest):
+    """Fields gathered from a table of 1, 2, 4, 8 or 16 bytes, with the
+    empty field at code -1, are ``%s`` of the unpadded text."""
+    names = tuple("xyzw"[k % 4] * k for k in range(1, longest + 1))
+    names += tuple(s for s in ("#62", "(residual)") if len(s) <= longest)
+    table = code_fields(names)
+    size = table.itemsize
+    assert size & (size - 1) == 0 and longest <= size < max(2 * longest, 2)
+    codes = np.random.default_rng(longest).integers(-1, len(names), 3000)
+    text = [names[c] if c >= 0 else "" for c in codes.tolist()]
+    write_csv(tmp_path / "t.csv", ("a", "b"), "%s|%s\n",
+              [(table[codes], table[codes[::-1]])])
+    expected = "".join("%s|%s\n" % pair for pair in zip(text, text[::-1]))
+    assert (tmp_path / "t.csv").read_text("ascii").split("\n", 1)[1] == expected
+
+
+def test_map_with_four_digit_indices(tmp_path):
+    """At n = 1001 the index table is ``S4`` with no padding left; rows
+    that cross from three to four digits match ``%`` line for line."""
+    n = 1001
+    values = np.random.default_rng(1001).random((n, n))
+    values[:300] = 0.0  # whole blocks of +0.0 too
+    imap = IntensityMap(values=values, extent=1e-3)
+    imap.to_csv(tmp_path / "map.csv")
+    got = (tmp_path / "map.csv").read_text("ascii").splitlines(keepends=True)
+    assert len(got) == n * n + 1
+    for i in (0, 7, 299, 300, 999, 1000):
+        expected = ["%d,%d,%.12e\n" % (i, j, v)
+                    for j, v in enumerate(values[i].tolist())]
+        assert got[1 + i * n:1 + (i + 1) * n] == expected
