@@ -8,7 +8,11 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   points per second in ``_SLICE``-point slices of a session's mix of
   ``sample_plane`` positions, ``tree_share``, the share of them the rhombus
   lookup leaves to the k-d tree, and ``run_session`` rounds per second,
-  set-up included, with no attack and under ``suppress_on_evidence``;
+  set-up included, with no attack and under ``suppress_on_evidence``.
+  Under that attack, at eta 1, also ``evidence_scored_share``, the share of
+  the attacker's decoded points (every round) that ``evidence_scores``
+  sees, and milliseconds per ``_estimate_from_arrays`` and per
+  ``_flatten_mask`` call over the session's sifted rows;
 - ``table``, at the same sizes (``--large`` adds d = 4921, about 0.4 GB):
   ``probability_table()`` build time, hexagons integrated, and MB held;
 - ``export``: the CSV tables of the benchmark's ``cli_outputs`` run, with
@@ -23,7 +27,8 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
 
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
-tree share, about 0.02, catches a fall-back to the k-d tree on any host:
+tree share, about 0.02, catches a fall-back to the k-d tree on any host,
+and the scored share, about 0.02 too, a fall-back to scoring every point:
 
     PYTHONPATH=src python scripts/layer_scaling.py [--large]
 """
@@ -39,7 +44,7 @@ import tracemalloc
 
 import numpy as np
 
-from spatialqkd import model
+from spatialqkd import adversary, model
 from spatialqkd._csv import all_plus_zero, row_slices
 from spatialqkd.adversary import eve_log_to_csv
 from spatialqkd.alphabet import _SLICE, build_hex_alphabet
@@ -48,7 +53,8 @@ from spatialqkd.optics import (ApertureSpec, BasisConfig, Geometry,
                                _check_contained, analytic_amplitude,
                                full_chain, make_aperture_field,
                                propagate_chain)
-from spatialqkd.protocol import run_session
+from spatialqkd.protocol import (_estimate_from_arrays, _flatten_mask,
+                                 _stream, run_session)
 
 RINGS = (3, 10, 20)
 POINTS = ROUNDS = 1 << 18
@@ -60,7 +66,8 @@ CHAIN_REPEATS = 15
 #: the d = 1261 table build and the map writes are bounded, in ``rows``.
 DECODE_BOUNDS = {"decode_points_per_s": (1e6, np.inf), "tree_share": (0, 0.05),
                  "rounds_per_s_none": (2e5, np.inf),
-                 "rounds_per_s_suppress": (1.2e5, np.inf)}
+                 "rounds_per_s_suppress": (1.2e5, np.inf),
+                 "evidence_scored_share": (0, 0.05)}
 CHAINS = ("FF", "II", "IF")
 OPTICS_BOUNDS = {**{f"chain_ms_{label}": (0, 100.0) for label in CHAINS},
                  "check_ms": (0, 5.0), "field_ms_aperture": (0, 20.0),
@@ -105,7 +112,35 @@ def decode_row(rings: int) -> dict:
         run = cfg.override(strategy=strategy, eta=eta)
         row[f"rounds_per_s_{key}"] = round(
             ROUNDS / best_time(lambda: run_session(run)))
-    return row
+    return {**row, **sift_figures(run)}
+
+
+def sift_figures(run) -> dict:
+    """The scored share of one session of ``run``, an active attack, and
+    the per-call times of its error estimate and key flattening."""
+    scored, score = [], adversary.evidence_scores
+
+    def counting(positions, nearest, gauss):
+        scored.append(len(positions))
+        return score(positions, nearest, gauss)
+
+    adversary.evidence_scores = counting
+    try:
+        run_session(run)
+    finally:
+        adversary.evidence_scores = score
+    gauss = run.build_model()
+    probs = gauss.source()
+    (code, sent, received), *_ = _stream(run, gauss, probs, None)
+    labels, fraction = gauss.alphabet.labels, run.session.sample_fraction
+    tape = np.random.default_rng(0).random(sent.size)
+    return {"evidence_scored_share": round(sum(scored) / ROUNDS, 5),
+            "sifted_rows": sent.size,
+            "estimate_ms": round(1e3 * best_time(lambda: _estimate_from_arrays(
+                np.random.default_rng(0), code, sent, received, labels,
+                fraction)), 3),
+            "flatten_ms": round(1e3 * best_time(
+                lambda: _flatten_mask(tape, sent, probs)), 3)}
 
 
 def table_row(rings: int) -> dict:

@@ -102,6 +102,15 @@ def evidence_scores(positions: np.ndarray, nearest: np.ndarray,
     return same, crossed
 
 
+def _vertex_score(model: "GaussianModel") -> float:
+    """The matched evidence score ``1 + 1e-9`` circumradii from a cell's
+    centre, below that of any point ``nearest_cell`` puts inside it."""
+    a = model.alphabet.cell_radius * (1.0 + 1e-9)
+    sig_ap = model.aperture_waist / 2.0
+    return float(model.alphabet.cell_area * np.exp(-0.5 * a * a / sig_ap ** 2)
+                 / (2.0 * np.pi * sig_ap ** 2))
+
+
 def attack_batch(draws, alice_basis: np.ndarray, alice_idx: np.ndarray,
                  model: "GaussianModel", spec: AdversarySpec) -> AttackArrays:
     """Apply the attack to a batch of prepared photons.
@@ -111,6 +120,15 @@ def attack_batch(draws, alice_basis: np.ndarray, alice_idx: np.ndarray,
     lists; they are not read, and may be ``None``, when the attack is
     inactive.  Both active strategies read the same draws, so a suppression
     threshold of zero reproduces plain intercept-resend round for round.
+
+    Suppression scores only the points that decode outside their cell
+    when no point inside one can be dropped: ``nearest_cell`` puts a point
+    inside within ``a (1 + 1e-12)`` of its cell's centre, ``a`` the
+    circumradius, so its matched score is at least the vertex score, the
+    score at ``a (1 + 1e-9)``.  If that is at least ``evidence_threshold *
+    (1 + 1e-9)``, no inside point is ever dropped and only the others are
+    scored; otherwise every point is.  The default geometry's vertex score
+    is 2.2e-3 at every d, 22 times the default threshold.
     """
     m = alice_idx.shape[0]
     if not spec.active:
@@ -127,12 +145,14 @@ def attack_batch(draws, alice_basis: np.ndarray, alice_idx: np.ndarray,
     dropped = np.zeros(m, dtype=bool)
     eps = spec.evidence_threshold
     suppress = spec.strategy == "suppress_on_evidence" and eps > 0
-    for s, logical, nearest, _ in model._decode_slices(
+    off_cell_only = _vertex_score(model) >= eps * (1.0 + 1e-9)
+    for s, logical, nearest, inside in model._decode_slices(
             noise, alice_basis, alice_idx, basis_code):
         measured_idx[s] = nearest
         if suppress:
-            same, crossed = evidence_scores(logical, nearest, model)
-            dropped[s] = attacked[s] & (same < eps) & (crossed >= eps)
+            pick = np.flatnonzero(~inside) if off_cell_only else slice(None)
+            same, crossed = evidence_scores(logical[pick], nearest[pick], model)
+            dropped[s][pick] = attacked[s][pick] & (same < eps) & (crossed >= eps)
     return AttackArrays(attacked=attacked, basis_code=basis_code,
                         measured_idx=measured_idx, dropped=dropped)
 

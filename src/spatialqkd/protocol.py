@@ -273,21 +273,22 @@ def _estimate_from_arrays(rng: np.random.Generator, config_code: np.ndarray,
     k = min(ns, int(round(sample_fraction * ns))) if ns else 0
     if ns and sample_fraction > 0:
         k = max(k, 1)
+    chosen = rng.choice(ns, size=k, replace=False)
     sample = np.zeros(ns, dtype=bool)
-    if k:
-        chosen = rng.choice(ns, size=k, replace=False)
-        sample[chosen] = True
+    sample[chosen] = True
 
+    # Counts ignore order, so only the k sampled rows are read.
+    code_k, sent_k = config_code.take(chosen), sent.take(chosen)
+    wrong = sent_k != received.take(chosen)
     per_char: dict[str, np.ndarray] = {}
     counts: dict[str, np.ndarray] = {}
     low = k == 0
     wrong_total = 0
-    wrong = sent != received
     for code, key in ((1, "FF"), (0, "II")):
-        mask = sample & (config_code == code)
-        n_c = np.bincount(sent.take(np.flatnonzero(mask)), minlength=d)
+        mask = code_k == code
+        n_c = np.bincount(sent_k[mask], minlength=d)
         mask &= wrong
-        w_c = np.bincount(sent.take(np.flatnonzero(mask)), minlength=d)
+        w_c = np.bincount(sent_k[mask], minlength=d)
         with np.errstate(invalid="ignore"):
             rates = np.where(n_c > 0, w_c / np.maximum(n_c, 1), np.nan)
         per_char[key] = rates
@@ -303,9 +304,9 @@ def _estimate_from_arrays(rng: np.random.Generator, config_code: np.ndarray,
 
 def _flatten_mask(tape: np.ndarray, idx: np.ndarray,
                   probs: np.ndarray) -> np.ndarray:
-    """Acceptance mask of the rejection step taking ``P`` to uniform."""
-    p_min = probs.min()
-    return tape < p_min / probs[idx]
+    """Acceptance mask of the rejection step taking ``P`` to uniform: one
+    threshold ``min(P) / P`` per character, read per row."""
+    return tape < (probs.min() / probs).take(idx)
 
 
 @dataclass(eq=False)
@@ -406,11 +407,13 @@ def _stream(config: "ExperimentConfig", model: GaussianModel,
             a_basis, sent, attack, b_basis, measure = (
                 current.result() if current else draw(b))
             atk = attack_batch(attack, a_basis, sent, model, adv)
-            prep_idx = np.where(atk.attacked, atk.measured_idx, sent)
-            prep_basis = np.where(atk.attacked, atk.basis_code, a_basis)
+            prep_idx, prep_basis, present = sent, a_basis, None
+            if adv.active:
+                prep_idx = np.where(atk.attacked, atk.measured_idx, sent)
+                prep_basis = np.where(atk.attacked, atk.basis_code, a_basis)
+                present = ~(atk.attacked & atk.dropped)
             received = _measure_batch(measure, prep_basis, prep_idx, b_basis,
-                                      model, noise,
-                                      present=~(atk.attacked & atk.dropped))
+                                      model, noise, present=present)
             if log is not None:
                 c = slice(b * STREAM_CHUNK, b * STREAM_CHUNK + sent.shape[0])
                 log.alice_basis[c], log.bob_basis[c] = a_basis, b_basis

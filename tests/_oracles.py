@@ -344,6 +344,39 @@ def _decode_bruteforce(points, alphabet, chunk: int = 4096):
     return near.tolist(), inside.tolist()
 
 
+def off_lattice(alphabet):
+    """``alphabet`` with every center a third of a spacing off its lattice
+    site, so that decoding goes through the k-d tree."""
+    from spatialqkd.alphabet import HexAlphabet
+
+    return HexAlphabet.from_dict(
+        {**alphabet.to_dict(),
+         "centers": (alphabet.centers + (alphabet.spacing / 3.0, 0.0)).tolist()})
+
+
+def estimate_full_mask(rng, config_code, sent, received, d, sample_fraction):
+    """The sampled error counts over full-length masks of the sifted rows:
+    ``(counts, wrong, average, sample_size, low_confidence, keep)``, the
+    first two keyed by configuration label."""
+    from spatialqkd.protocol import MIN_SAMPLES_PER_CHAR
+
+    ns = sent.shape[0]
+    k = min(ns, int(round(sample_fraction * ns))) if ns else 0
+    if ns and sample_fraction > 0:
+        k = max(k, 1)
+    sample = np.zeros(ns, dtype=bool)
+    if k:
+        sample[rng.choice(ns, size=k, replace=False)] = True
+    counts, wrong, low = {}, {}, k == 0
+    for code, key in ((1, "FF"), (0, "II")):
+        mask = sample & (config_code == code)
+        counts[key] = np.bincount(sent[mask], minlength=d)
+        wrong[key] = np.bincount(sent[mask & (sent != received)], minlength=d)
+        low = low or bool((counts[key] < MIN_SAMPLES_PER_CHAR).any())
+    total = sum(int(w.sum()) for w in wrong.values())
+    return (counts, wrong, total / k if k else float("nan"), k, low, ~sample)
+
+
 def attack_draws(rng, m):
     """The attacker's draws for ``m`` rounds, in the order the ``protocol``
     docstring lists: tap uniforms, basis codes and (m, 2) position noise."""

@@ -1,12 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
-from spatialqkd.adversary import (AdversarySpec, attack_batch,
+from spatialqkd import adversary
+from spatialqkd.adversary import (AdversarySpec, _vertex_score, attack_batch,
                                   eve_information_estimate, eve_log_to_csv,
                                   evidence_scores)
+from spatialqkd.alphabet import build_hex_alphabet
+from spatialqkd.model import GaussianModel
 from spatialqkd.optics import BASIS_BY_CODE, Basis
 
-from _oracles import attack_draws
+from _oracles import attack_draws, off_lattice
 
 F = BASIS_BY_CODE.index(Basis.F)
 
@@ -196,6 +201,96 @@ class TestAttackBatch:
         out = attack_batch(attack_draws(rng, 2_000), np.zeros(2_000, np.int8),
                            np.zeros(2_000, np.int64), model37, spec)
         assert not out.dropped.any()
+
+
+@functools.cache
+def scoring_model(name: str) -> GaussianModel:
+    """d = 7, 37 and 331 on the lattice, and 37 off it."""
+    rings = {"d7": 1, "d37": 3, "d331": 10, "off_lattice": 3}[name]
+    alphabet = build_hex_alphabet(rings, 200e-6)
+    return GaussianModel(off_lattice(alphabet) if name == "off_lattice"
+                         else alphabet)
+
+
+def attack_scoring_every_point(draws, a_basis, sent, model, spec):
+    """The four attack arrays with every decoded point scored."""
+    tap, basis_code, noise = draws
+    attacked = tap < spec.eta
+    pos = model.sample_plane(noise, a_basis, sent, basis_code)
+    nearest, _ = model.alphabet.nearest_cell(pos)
+    same, crossed = evidence_scores(pos, nearest, model)
+    eps = spec.evidence_threshold
+    return (attacked, basis_code, nearest,
+            attacked & (same < eps) & (crossed >= eps))
+
+
+def scoring_inputs(model, m, seed):
+    rng = np.random.default_rng(seed)
+    return (attack_draws(rng, m), rng.integers(0, 2, m).astype(np.int8),
+            rng.integers(0, model.alphabet.d, m))
+
+
+class TestOffCellScoring:
+    """Suppression scores only points outside their cell while the vertex
+    score clears the threshold, with the outcome of scoring every point."""
+
+    @pytest.mark.parametrize("name", ["d7", "d37", "d331", "off_lattice"])
+    @pytest.mark.parametrize("threshold", [
+        0.0, 1e-6, 1e-4, "vertex-", "vertex+", 1e-2, 1e9])
+    def test_matches_scoring_every_point(self, name, threshold):
+        model = scoring_model(name)
+        vertex = _vertex_score(model)
+        eps = {"vertex-": vertex * (1 - 1e-6),
+               "vertex+": vertex * (1 + 1e-6)}.get(threshold, threshold)
+        spec = AdversarySpec("suppress_on_evidence", eta=0.7,
+                             evidence_threshold=eps)
+        draws, a_basis, sent = scoring_inputs(model, 20_000, 21)
+        out = attack_batch(draws, a_basis, sent, model, spec)
+        ref = attack_scoring_every_point(draws, a_basis, sent, model, spec)
+        got = (out.attacked, out.basis_code, out.measured_idx, out.dropped)
+        for array, expected in zip(got, ref):
+            assert array.dtype.kind == expected.dtype.kind
+            assert np.array_equal(array, expected)
+
+    def test_vertex_score_bounds_every_inside_point(self, model37):
+        """No point inside its cell scores below the vertex score, and a
+        point at a vertex scores within 1e-7 of it (the margin of 1e-9 on
+        the radius moves the score by ``(a / sigma)**2 * 1e-9``)."""
+        pts = model37.sample_plane(
+            np.random.default_rng(22).standard_normal((50_000, 2)),
+            np.zeros(50_000, np.int8), np.arange(50_000) % 37,
+            np.zeros(50_000, np.int8))
+        nearest, inside = model37.alphabet.nearest_cell(pts)
+        same, _ = evidence_scores(pts[inside], nearest[inside], model37)
+        vertex = _vertex_score(model37)
+        assert same.min() >= vertex
+        corner = model37.alphabet.centers[:1] + (0.0, model37.alphabet.cell_radius)
+        at_vertex, _ = evidence_scores(corner, np.zeros(1, np.intp), model37)
+        assert vertex < at_vertex[0] == pytest.approx(vertex, rel=1e-7)
+
+    @pytest.mark.parametrize("threshold", [1e-4, 5e-3])
+    def test_scores_every_point_when_the_bound_fails(self, model37,
+                                                     monkeypatch, threshold):
+        scored = []
+
+        def counting(positions, nearest, model):
+            scored.append(len(positions))
+            return evidence_scores(positions, nearest, model)
+
+        monkeypatch.setattr(adversary, "evidence_scores", counting)
+        m = 20_000
+        draws, a_basis, sent = scoring_inputs(model37, m, 23)
+        out = attack_batch(draws, a_basis, sent, model37,
+                           AdversarySpec("suppress_on_evidence", eta=1.0,
+                                         evidence_threshold=threshold))
+        pos = model37.sample_plane(draws[2], a_basis, sent, draws[1])
+        inside = model37.alphabet.nearest_cell(pos)[1]
+        if threshold > _vertex_score(model37):
+            assert sum(scored) == m
+            assert (out.dropped & inside).any()
+        else:
+            assert sum(scored) == np.count_nonzero(~inside) < 0.05 * m
+            assert not (out.dropped & inside).any()
 
 
 class TestEveInformation:

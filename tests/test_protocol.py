@@ -20,7 +20,7 @@ from spatialqkd.protocol import (STREAM_CHUNK, NoiseModel, run_session,
                                  _estimate_from_arrays, _flatten_mask,
                                  _measure_batch)
 
-from _oracles import measure_draws
+from _oracles import estimate_full_mask, measure_draws
 
 F = BASIS_BY_CODE.index(Basis.F)
 I = BASIS_BY_CODE.index(Basis.I)
@@ -217,6 +217,32 @@ class TestEstimate:
         assert np.isnan(est.average)
         assert est.as_dict()["average"] is None
 
+    @pytest.mark.parametrize("ns, fraction", [
+        (0, 0.5), (5_000, 1e-6), (5_000, 0.1), (5_000, 1.0), (1, 0.1)])
+    def test_matches_full_mask_reference(self, ns, fraction):
+        """Counting only the sampled rows gives the counts, rates, average
+        and keep mask of the full-length masks: no sifted rows, k = 1, a
+        tenth, every row, and one row, over both configurations."""
+        rng = np.random.default_rng(ns)
+        code = rng.integers(0, 2, ns).astype(np.int8)
+        sent = rng.integers(0, 37, ns)
+        received = np.where(rng.random(ns) < 0.1, rng.integers(0, 37, ns), sent)
+        labels = tuple(f"c{j}" for j in range(37))
+        est, keep = _estimate_from_arrays(np.random.default_rng(3), code, sent,
+                                          received, labels, fraction)
+        counts, wrong, average, k, low, ref_keep = estimate_full_mask(
+            np.random.default_rng(3), code, sent, received, 37, fraction)
+        assert est.sample_size == k
+        assert est.low_confidence == low
+        assert np.array_equal(keep, ref_keep)
+        assert est.average == average or np.isnan(est.average) and np.isnan(average)
+        for key in ("FF", "II"):
+            assert np.array_equal(est.counts[key], counts[key])
+            with np.errstate(invalid="ignore"):
+                rates = np.where(counts[key] > 0,
+                                 wrong[key] / np.maximum(counts[key], 1), np.nan)
+            assert np.array_equal(est.per_char[key], rates, equal_nan=True)
+
     def test_fraction_validation(self):
         for fraction in (0.0, 1.5):
             with pytest.raises(ConfigError):
@@ -247,6 +273,24 @@ class TestFlatten:
         kept = draws[_flatten_mask(tape, draws, probs37)]
         result = sps.chisquare(np.bincount(kept, minlength=37))
         assert result[1] > 0.01
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_matches_per_row_division(self, probs37, tiny):
+        """Per-character thresholds read per row are bit-equal to dividing
+        per row, at the thresholds themselves and one ulp either side."""
+        probs = probs37
+        if tiny:
+            probs = np.array([1e-300, 7e-301, 2.5e-300, 0.25, 0.75 - 4.2e-300])
+        threshold = probs.min() / probs
+        idx = np.tile(np.arange(probs.size), 3)
+        tape = threshold[idx]
+        tape[probs.size:2 * probs.size] = np.nextafter(tape[:probs.size], 0.0)
+        tape[2 * probs.size:] = np.nextafter(tape[:probs.size], 2.0)
+        idx = np.concatenate([idx, np.random.default_rng(19).integers(
+            0, probs.size, 5_000)])
+        tape = np.concatenate([tape, np.random.default_rng(20).random(5_000)])
+        assert np.array_equal(_flatten_mask(tape, idx, probs),
+                              tape < probs.min() / probs[idx])
 
     def test_shared_tape_alignment(self, probs37):
         """Both parties thin their streams with one tape, so they keep or

@@ -22,13 +22,10 @@ from spatialqkd.alphabet import HexAlphabet, build_hex_alphabet
 from spatialqkd.config import AlphabetParams, ExperimentConfig, SessionParams
 from spatialqkd.protocol import NoiseModel, run_session
 
-from _oracles import session_reference
+from _oracles import off_lattice, session_reference
 
 _BASE37 = build_hex_alphabet(3, 200e-6)
-#: Every center a third of a spacing off its lattice site.
-_OFF_LATTICE = HexAlphabet.from_dict(
-    {**_BASE37.to_dict(),
-     "centers": (_BASE37.centers + (_BASE37.spacing / 3.0, 0.0)).tolist()})
+_OFF_LATTICE = off_lattice(_BASE37)
 
 
 class _OffLatticeConfig(ExperimentConfig):
@@ -130,6 +127,12 @@ REFERENCE_CASES = {
         noise=NoiseModel(background_prob=0.01, jitter_sigma=20e-6),
         adversary=AdversarySpec("suppress_on_evidence", eta=1.0),
         session=SessionParams(rounds=1, seed=16)),
+    # A threshold above the vertex score (2.2e-3), so that points inside
+    # their cell can be dropped and every point is scored.
+    "suppress_inside_cells": ExperimentConfig(
+        adversary=AdversarySpec("suppress_on_evidence", eta=1.0,
+                                evidence_threshold=5e-3),
+        session=SessionParams(rounds=20_000, seed=18)),
 }
 
 
