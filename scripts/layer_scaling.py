@@ -13,6 +13,11 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
   the attacker's decoded points (every round) that ``evidence_scores``
   sees, and milliseconds per ``_estimate_from_arrays`` and per
   ``_flatten_mask`` call over the session's sifted rows;
+- ``setup``, at the same sizes: milliseconds per ``source()`` (the
+  envelope's quadrature row) and per ``run_session`` of 0 rounds, and
+  ``erf_row_share``, the share of that session's quadrature nodes on which
+  ``erf`` is evaluated, about 0.34 at d = 331 and 0.48 at d = 1261, where
+  the hexagons share their x-coordinate rows;
 - ``table``, at the same sizes (``--large`` adds d = 4921, about 0.4 GB):
   ``probability_table()`` build time, hexagons integrated, and MB held;
 - ``export``: the CSV tables of the benchmark's ``cli_outputs`` run, with
@@ -28,7 +33,9 @@ Times are the fastest of ``REPEATS`` runs, and ``peak_mb`` the
 Exits 1 when a figure leaves its bounds, which sit far past a 2-core Xeon's
 figures so that only a gross slowdown fails them on a shared machine; the
 tree share, about 0.02, catches a fall-back to the k-d tree on any host,
-and the scored share, about 0.02 too, a fall-back to scoring every point:
+the scored share, about 0.02 too, a fall-back to scoring every point, and
+the erf row share, from d = 331 on, a fall-back to evaluating every
+hexagon's nodes:
 
     PYTHONPATH=src python scripts/layer_scaling.py [--large]
 """
@@ -41,6 +48,7 @@ import sys
 import tempfile
 import timeit
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,6 +76,8 @@ DECODE_BOUNDS = {"decode_points_per_s": (1e6, np.inf), "tree_share": (0, 0.05),
                  "rounds_per_s_none": (2e5, np.inf),
                  "rounds_per_s_suppress": (1.2e5, np.inf),
                  "evidence_scored_share": (0, 0.05)}
+#: Ceiling of ``erf_row_share`` from d = 331 on, where the rows are shared.
+SETUP_BOUNDS = {"erf_row_share": (0, 0.6)}
 CHAINS = ("FF", "II", "IF")
 OPTICS_BOUNDS = {**{f"chain_ms_{label}": (0, 100.0) for label in CHAINS},
                  "check_ms": (0, 5.0), "field_ms_aperture": (0, 20.0),
@@ -141,6 +151,35 @@ def sift_figures(run) -> dict:
                 fraction)), 3),
             "flatten_ms": round(1e3 * best_time(
                 lambda: _flatten_mask(tape, sent, probs)), 3)}
+
+
+def setup_row(rings: int) -> dict:
+    """The share comes from one extra session, with the quadrature and
+    ``erf`` counted, so that the counting slows no timed run."""
+    cfg = ExperimentConfig(alphabet=AlphabetParams(rings=rings)).override(
+        rounds=0, seed=1, keep_log=False)
+    gauss = cfg.build_model()
+    nodes, points = [], []
+    integral, special = model.gaussian_polygon_integral, model.special
+
+    def counting(center, waist, polys):
+        nodes.append(polys.shape[0] * polys.shape[1] * model._GL_NODES)
+        return integral(center, waist, polys)
+
+    def erf(x, out=None):
+        points.append(x.size)
+        return special.erf(x, out=out)
+
+    model.gaussian_polygon_integral = counting
+    model.special = SimpleNamespace(erf=erf)
+    try:
+        run_session(cfg)
+    finally:
+        model.gaussian_polygon_integral, model.special = integral, special
+    return {"layer": "setup", "d": gauss.alphabet.d, "rings": rings,
+            "source_ms": round(1e3 * best_time(gauss.source), 3),
+            "setup_ms": round(1e3 * best_time(lambda: run_session(cfg)), 3),
+            "erf_row_share": round(sum(points) / sum(nodes), 3)}
 
 
 def table_row(rings: int) -> dict:
@@ -230,6 +269,8 @@ def rows(large: bool):
     """Each ``(row, bounds)``, ``bounds`` mapping a key to its limits."""
     for rings in RINGS:
         yield decode_row(rings), DECODE_BOUNDS
+    for rings in RINGS:
+        yield setup_row(rings), SETUP_BOUNDS if rings >= 10 else {}
     for rings in RINGS + ((40,) if large else ()):
         yield table_row(rings), {"build_s": (0, 5.0)} if rings == 20 else {}
     with tempfile.TemporaryDirectory() as directory:

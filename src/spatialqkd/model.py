@@ -61,35 +61,110 @@ def hex_vertices(centers: np.ndarray, circumradius: float) -> np.ndarray:
     return centers[:, None, :] + offsets[None, :, :]
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the C-contiguous (n, k) float array ``a``,
+    compared by their bytes, and the index of each row of ``a`` among them.
+
+    Rows are sorted on their bits read as int64; at d = 1261 that took a
+    third of the time of ``np.unique`` over a void view of the rows.
+    """
+    bits = a.view(np.int64)
+    order = np.lexsort(bits.T)
+    ranked = bits.take(order, axis=0)
+    new = np.empty(len(a), bool)
+    new[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    index = np.empty(len(a), np.intp)
+    index[order] = np.cumsum(new) - 1
+    return a.take(order[new], axis=0), index
+
+
+def _edge_steps(p: np.ndarray) -> np.ndarray:
+    """``np.roll(p, -1, axis=1) - p`` for (n, nv) coordinate rows ``p``,
+    without the cost of ``np.roll`` on a small array."""
+    out = np.empty_like(p)
+    np.subtract(p[:, 1:], p[:, :-1], out=out[:, :-1])
+    np.subtract(p[:, 0], p[:, -1], out=out[:, -1])
+    return out
+
+
+def _edge_rows(p: np.ndarray, cdf: bool) -> np.ndarray:
+    """Phi (``cdf``) or phi of the Gauss-Legendre nodes along each edge of
+    the closed coordinate rows ``p`` (n, nv), shape (n, nv, _GL_NODES).
+
+    Rows are evaluated in pieces of at most ``_SLICE`` values, in place,
+    with the operations of ``0.5 * (1 + erf(x / sqrt 2))`` and
+    ``exp(-0.5 * y * y) / sqrt(2 pi)`` in that order.
+    """
+    out = np.empty(p.shape + (_GL_NODES,))
+    step = max(1, _SLICE // (p.shape[1] * _GL_NODES))
+    dp = _edge_steps(p)
+    for s in range(0, p.shape[0], step):
+        v = out[s:s + step]
+        np.multiply(dp[s:s + step, :, None], _GL_T, out=v)
+        v += p[s:s + step, :, None]
+        if cdf:
+            v /= np.sqrt(2.0)
+            special.erf(v, out=v)
+            v += 1.0
+            v *= 0.5
+        else:
+            t = -0.5 * v
+            t *= v
+            np.exp(t, out=v)
+            v /= np.sqrt(2.0 * np.pi)
+    return out
+
+
 def gaussian_polygon_integral(center, waist: float,
                               polygons: np.ndarray) -> np.ndarray:
     """Mass of an isotropic Gaussian intensity profile over polygons.
 
     The profile is ``exp(-2 r**2 / waist**2)`` normalized to unit integral,
     i.e. a bivariate normal with sigma = waist / 2 per axis.  Polygons are
-    given counterclockwise with shape (m, nv, 2).  The double integral is
-    reduced to line integrals along the edges,
+    given counterclockwise with shape (m, nv, 2), nv >= 3.  The double
+    integral is reduced to line integrals along the edges,
 
         integral = sum_edges (y2 - y1) * int_0^1 Phi(x(t)) phi(y(t)) dt,
 
     with Phi the normal distribution function and phi its density, and each
     edge integral evaluated by fixed-order Gauss-Legendre quadrature.  Exact
-    to near machine precision for the smooth integrand.  Cache-sized slices
-    of polygons are integrated in turn; no result depends on the slicing.
+    to near machine precision for the smooth integrand.
+
+    A polygon's Phi row depends only on its x-coordinates and its phi row
+    only on its y-coordinates, and the polygons of a lattice pattern share
+    them: the 331 hexagons of ring 10 have 111 distinct x-rows and 39
+    distinct y-rows.  So when the polygons fill more than one cache-sized
+    slice, each distinct row, compared by its bytes, is evaluated once and
+    gathered per slice; a set of at most one slice (42 hexagons) is
+    evaluated directly, as sorting the rows costs more than it saves there.
+    Either way every product and sum sees the same operands in the same
+    order, so no result depends on the slicing or the sharing.
     """
+    sigma = number("waist", waist, "(0, inf)") / 2.0
+    c = np.asarray(center, dtype=np.float64)
+    if c.shape != (2,) or not np.isfinite(c).all():
+        raise ValueError(f"center must be two finite coordinates, got {center!r}")
     polys = np.asarray(polygons, dtype=np.float64)
-    sigma = waist / 2.0
-    out = np.empty(polys.shape[0])
-    step = max(1, _SLICE // (polys.shape[1] * _GL_NODES))
-    for s in range(0, polys.shape[0], step):
-        p1 = (polys[s:s + step] - np.asarray(center, dtype=np.float64)) / sigma
-        p2 = np.roll(p1, -1, axis=1)
-        x = p1[..., 0, None] + (p2[..., 0] - p1[..., 0])[..., None] * _GL_T
-        y = p1[..., 1, None] + (p2[..., 1] - p1[..., 1])[..., None] * _GL_T
-        cdf_x = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-        pdf_y = np.exp(-0.5 * y * y) / np.sqrt(2.0 * np.pi)
-        edge = (p2[..., 1] - p1[..., 1]) * np.sum(cdf_x * pdf_y * _GL_WT, axis=-1)
-        out[s:s + step] = edge.sum(axis=-1)
+    if (polys.ndim != 3 or polys.shape[1] < 3 or polys.shape[2] != 2
+            or not np.isfinite(polys).all()):
+        raise ValueError("polygons must have shape (m, nv >= 3, 2) and finite "
+                         f"coordinates, got shape {polys.shape}")
+    p = (polys - c) / sigma
+    m = p.shape[0]
+    step = max(1, _SLICE // (p.shape[1] * _GL_NODES))
+    px, py = np.ascontiguousarray(p[..., 0]), np.ascontiguousarray(p[..., 1])
+    dy = _edge_steps(py)
+    direct = m <= step
+    if not direct:
+        (px, ix), (py, iy) = _distinct_rows(px), _distinct_rows(py)
+    cdf, pdf = _edge_rows(px, True), _edge_rows(py, False)
+    out = np.empty(m)
+    for s in range(0, m, step):
+        w = cdf if direct else cdf.take(ix[s:s + step], axis=0)
+        w *= pdf if direct else pdf.take(iy[s:s + step], axis=0)
+        w *= _GL_WT
+        out[s:s + step] = (dy[s:s + step] * w.sum(axis=-1)).sum(axis=-1)
     return out
 
 

@@ -488,7 +488,7 @@ def run_session(config: "ExperimentConfig") -> SessionResult:
         loss_rate=1.0 - n_detected / n if n else 0.0,
         sifted=n_sifted,
         sifted_fraction=n_sifted / n_detected if n_detected else 0.0,
-        sent_histogram={lab: int(c) for lab, c in zip(alphabet.labels, hist)},
+        sent_histogram=dict(zip(alphabet.labels, hist.tolist())),
         error=estimate,
         eve_attacked=n_attacked,
         eve_dropped=n_dropped,

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from spatialqkd.optics import ALL_CONFIGS, BasisConfig, Geometry
 
 from _oracles import (crossed_source_reference, envelope_probs_bruteforce,
                       gaussian_mass_in_hex, gaussian_mass_in_hex_scanline,
-                      probability_table_dense, sample_plane_reference)
+                      polygon_integral_direct, probability_table_dense,
+                      sample_plane_reference)
 from test_transcripts import _OFF_LATTICE
 
 _MODELS = {d: GaussianModel(build_hex_alphabet(rings, 200e-6))
@@ -68,7 +70,80 @@ _NOISE = st.one_of(
     st.floats(min_value=-8.0, max_value=8.0))
 
 
+#: A coordinate of a polygon vertex or a Gaussian's center: zero of both
+#: signs or within a few waists of the origin.
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(min_value=-6e-4, max_value=6e-4))
+_HEX = hex_vertices(np.zeros((1, 2)), 100e-6)
+
+
 class TestPolygonIntegral:
+    @given(data=st.data(), nv=st.sampled_from([3, 6, 8]),
+           m=st.sampled_from([0, 1, 42, 43, 86]),
+           center=st.tuples(_COORD, _COORD),
+           waist=st.floats(min_value=5e-5, max_value=1e-3))
+    def test_bit_identical_to_direct_evaluation(self, data, nv, m, center,
+                                                waist):
+        """Polygons drawn from small pools of x-rows and y-rows share rows
+        as a lattice's do; a set of more than one slice (42 polygons at 6
+        vertices, 85 at 3) evaluates each distinct row once and still
+        matches the direct formula byte for byte."""
+        rows = {axis: np.array(data.draw(st.lists(
+            st.lists(_COORD, min_size=nv, max_size=nv),
+            min_size=1, max_size=4))) for axis in "xy"}
+        pick = {axis: data.draw(st.lists(
+            st.integers(0, len(rows[axis]) - 1), min_size=m, max_size=m))
+            for axis in "xy"}
+        polys = np.stack([rows[a][pick[a]].reshape(m, nv) for a in "xy"],
+                         axis=-1)
+        got = gaussian_polygon_integral(center, waist, polys)
+        assert got.tobytes() == polygon_integral_direct(
+            center, waist, polys).tobytes()
+
+    def test_each_distinct_x_row_is_evaluated_once(self, monkeypatch):
+        """The d = 1261 envelope row calls erf on at most 32 nodes per edge
+        of each distinct x-row, not of each hexagon."""
+        alphabet = build_hex_alphabet(20, 200e-6)
+        polys = hex_vertices(alphabet.centers, alphabet.cell_radius)
+        waist = calibrate_envelope(alphabet)
+        points, erf = [], model_module.special.erf
+
+        def counting(x, out=None):
+            points.append(x.size)
+            return erf(x, out=out)
+
+        monkeypatch.setattr(model_module, "special", SimpleNamespace(erf=counting))
+        got = gaussian_polygon_integral((0.0, 0.0), waist, polys)
+        monkeypatch.undo()
+        x_rows = len({row.tobytes() for row in polys[..., 0]})
+        assert x_rows < alphabet.d // 2
+        assert sum(points) <= x_rows * 6 * 32
+        assert got.tobytes() == polygon_integral_direct(
+            (0.0, 0.0), waist, polys).tobytes()
+
+    @pytest.mark.parametrize("center, waist, polygons, match", [
+        ((0.0, 0.0), -1e-4, _HEX, "waist"),
+        ((0.0, 0.0), 0.0, _HEX, "waist"),
+        ((0.0, 0.0), np.nan, _HEX, "waist"),
+        ((0.0, 0.0, 0.0), 1e-4, _HEX, "center"),
+        ((0.0, np.inf), 1e-4, _HEX, "center"),
+        ((0.0, 0.0), 1e-4, _HEX[0], "polygons"),
+        ((0.0, 0.0), 1e-4, _HEX[:, :2], "polygons"),
+        ((0.0, 0.0), 1e-4, np.concatenate([_HEX, _HEX[..., :1]], axis=-1),
+         "polygons"),
+        ((0.0, 0.0), 1e-4, np.where(np.arange(2) == 1, np.nan, _HEX),
+         "polygons"),
+    ], ids=["negative_waist", "zero_waist", "nan_waist", "three_coordinates",
+            "infinite_center", "single_polygon", "two_vertices",
+            "three_columns", "nan_vertex"])
+    def test_refuses_bad_input(self, center, waist, polygons, match):
+        with pytest.raises(ValueError, match=match):
+            gaussian_polygon_integral(center, waist, polygons)
+
+    def test_empty_input(self):
+        got = gaussian_polygon_integral((0.0, 0.0), 1e-4, np.empty((0, 6, 2)))
+        assert got.shape == (0,)
+
     def test_against_midpoint_oracle(self, alphabet37):
         """Coarse cross-check against a 2-D midpoint sum with half-plane
         membership; accuracy is limited by the jagged boundary pixels."""
